@@ -10,7 +10,6 @@
 package route
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -125,6 +124,9 @@ func Route(d *netlist.Design, opt Options) (*Result, error) {
 	if t.GCellSize <= 0 {
 		return nil, fmt.Errorf("route: bad gcell size")
 	}
+	if t.HTracksPerGCell <= 0 || t.VTracksPerGCell <= 0 {
+		return nil, fmt.Errorf("route: bad track capacity")
+	}
 	g := &grid{
 		w:    int((d.Die.W() + t.GCellSize - 1) / t.GCellSize),
 		h:    int((d.Die.H() + t.GCellSize - 1) / t.GCellSize),
@@ -145,23 +147,28 @@ func Route(d *netlist.Design, opt Options) (*Result, error) {
 
 	res := &Result{NetLength: make([]int64, len(d.Nets)), GridW: g.w, GridH: g.h}
 
-	// Decompose nets into segments with a nearest-neighbour spanning tree.
-	var segs []*segment
-	segsOfNet := make([][]*segment, len(d.Nets))
+	// Decompose nets into segments with a nearest-neighbour spanning tree:
+	// a net with p >= 2 pins yields p-1 segments.
+	nsegs := 0
+	for ni := range d.Nets {
+		if p := len(d.Nets[ni].Pins); p >= 2 {
+			nsegs += p - 1
+		}
+	}
+	segs := make([]segment, 0, nsegs)
+	var pts [][2]int
 	for ni := range d.Nets {
 		pins := d.Nets[ni].Pins
 		if len(pins) < 2 {
 			continue
 		}
-		pts := make([][2]int, len(pins))
-		for k, ref := range pins {
+		pts = pts[:0]
+		for _, ref := range pins {
 			x, y := g.cellOf(d.PinPos(ref))
-			pts[k] = [2]int{x, y}
+			pts = append(pts, [2]int{x, y})
 		}
 		for _, e := range spanningTree(pts) {
-			s := &segment{net: int32(ni), x1: pts[e[0]][0], y1: pts[e[0]][1], x2: pts[e[1]][0], y2: pts[e[1]][1]}
-			segs = append(segs, s)
-			segsOfNet[ni] = append(segsOfNet[ni], s)
+			segs = append(segs, segment{net: int32(ni), x1: pts[e[0]][0], y1: pts[e[0]][1], x2: pts[e[1]][0], y2: pts[e[1]][1]})
 		}
 	}
 	// Route short segments first (they have the least flexibility).
@@ -171,19 +178,22 @@ func Route(d *netlist.Design, opt Options) (*Result, error) {
 		return la < lb
 	})
 
-	for _, s := range segs {
-		commit(g, s, bestPattern(g, s, opt))
+	for i := range segs {
+		commit(g, &segs[i], bestPattern(g, &segs[i], opt))
 	}
 
 	// Rip-up and reroute segments crossing overflowed edges.
+	var search astar
+	var over []int
 	for pass := 0; pass < opt.RipupPasses; pass++ {
-		over := overflowedSegments(g, segs)
+		over = overflowedSegments(g, segs, over[:0])
 		if len(over) == 0 {
 			break
 		}
-		for _, s := range over {
+		for _, i := range over {
+			s := &segs[i]
 			uncommit(g, s)
-			path := maze(g, s, opt)
+			path := search.maze(g, s, opt)
 			if path == nil {
 				path = bestPattern(g, s, opt)
 			}
@@ -192,13 +202,10 @@ func Route(d *netlist.Design, opt Options) (*Result, error) {
 	}
 
 	// Tally.
-	for ni, ss := range segsOfNet {
-		var cells int64
-		for _, s := range ss {
-			cells += int64(len(s.path))
-		}
-		res.NetLength[ni] = cells * g.size
-		res.WirelengthDBU += res.NetLength[ni]
+	for i := range segs {
+		l := int64(len(segs[i].path)) * g.size
+		res.NetLength[segs[i].net] += l
+		res.WirelengthDBU += l
 	}
 	for i := range g.hUse {
 		if g.hUse[i] > g.hCap {
@@ -288,65 +295,85 @@ func useOf(g *grid, e int32) (int32, int32) {
 	return g.vUse[e/2], g.vCap
 }
 
-func pathCost(g *grid, path []int32, penalty float64) float64 {
-	var c float64
-	for _, e := range path {
-		u, cp := useOf(g, e)
-		c += edgeCost(u, cp, penalty)
+// lPath builds the edge list of an L route via corner (cx, cy):
+// (x1,y1) -> (cx,y1) -> (cx,cy) -> (x2,cy) -> (x2,y2).
+func lPath(g *grid, x1, y1, x2, y2, cx, cy int) []int32 {
+	path := make([]int32, 0, iabs(cx-x1)+iabs(cy-y1)+iabs(x2-cx)+iabs(y2-cy))
+	path = appendH(g, path, x1, cx, y1)
+	path = appendV(g, path, y1, cy, cx)
+	path = appendH(g, path, cx, x2, cy)
+	return appendV(g, path, cy, y2, x2)
+}
+
+func appendH(g *grid, path []int32, xa, xb, y int) []int32 {
+	if xa > xb {
+		xa, xb = xb, xa
+	}
+	for x := xa; x < xb; x++ {
+		path = append(path, hEdge(g, x, y))
+	}
+	return path
+}
+
+func appendV(g *grid, path []int32, ya, yb, x int) []int32 {
+	if ya > yb {
+		ya, yb = yb, ya
+	}
+	for y := ya; y < yb; y++ {
+		path = append(path, vEdge(g, x, y))
+	}
+	return path
+}
+
+// lCost is the congestion cost of lPath(g, x1, y1, x2, y2, cx, cy), summed
+// over the same edges in the same order without building the path.
+func lCost(g *grid, x1, y1, x2, y2, cx, cy int, penalty float64) float64 {
+	c := costH(g, 0, x1, cx, y1, penalty)
+	c = costV(g, c, y1, cy, cx, penalty)
+	c = costH(g, c, cx, x2, cy, penalty)
+	return costV(g, c, cy, y2, x2, penalty)
+}
+
+func costH(g *grid, c float64, xa, xb, y int, penalty float64) float64 {
+	if xa > xb {
+		xa, xb = xb, xa
+	}
+	for x := xa; x < xb; x++ {
+		c += edgeCost(g.hUse[y*g.w+x], g.hCap, penalty)
 	}
 	return c
 }
 
-// lPath builds the edge list of an L route via corner (cx, cy).
-func lPath(g *grid, x1, y1, x2, y2, cx, cy int) []int32 {
-	var path []int32
-	appendH := func(xa, xb, y int) {
-		if xa > xb {
-			xa, xb = xb, xa
-		}
-		for x := xa; x < xb; x++ {
-			path = append(path, hEdge(g, x, y))
-		}
+func costV(g *grid, c float64, ya, yb, x int, penalty float64) float64 {
+	if ya > yb {
+		ya, yb = yb, ya
 	}
-	appendV := func(ya, yb, x int) {
-		if ya > yb {
-			ya, yb = yb, ya
-		}
-		for y := ya; y < yb; y++ {
-			path = append(path, vEdge(g, x, y))
-		}
+	for y := ya; y < yb; y++ {
+		c += edgeCost(g.vUse[y*g.w+x], g.vCap, penalty)
 	}
-	// (x1,y1) -> (cx,y1) -> (cx,cy) -> (x2,cy) -> (x2,y2)
-	appendH(x1, cx, y1)
-	appendV(y1, cy, cx)
-	appendH(cx, x2, cy)
-	appendV(cy, y2, x2)
-	return path
+	return c
 }
 
 // bestPattern picks the cheaper of the two L shapes and a handful of Z
-// shapes.
+// shapes; ties keep the earlier candidate. Only the winner's path is built.
 func bestPattern(g *grid, s *segment, opt Options) []int32 {
-	cands := [][]int32{
-		lPath(g, s.x1, s.y1, s.x2, s.y2, s.x2, s.y1), // horizontal first
-		lPath(g, s.x1, s.y1, s.x2, s.y2, s.x1, s.y2), // vertical first
+	corners := [8][2]int{
+		{s.x2, s.y1}, // horizontal first
+		{s.x1, s.y2}, // vertical first
 	}
 	// Z shapes: intermediate x or y at 1/4, 1/2, 3/4.
-	for _, f := range []int{1, 2, 3} {
-		zx := s.x1 + (s.x2-s.x1)*f/4
-		zy := s.y1 + (s.y2-s.y1)*f/4
-		cands = append(cands,
-			lPath(g, s.x1, s.y1, s.x2, s.y2, zx, s.y2),
-			lPath(g, s.x1, s.y1, s.x2, s.y2, s.x2, zy),
-		)
+	for f := 1; f <= 3; f++ {
+		corners[2*f] = [2]int{s.x1 + (s.x2-s.x1)*f/4, s.y2}
+		corners[2*f+1] = [2]int{s.x2, s.y1 + (s.y2-s.y1)*f/4}
 	}
-	best, bestC := cands[0], pathCost(g, cands[0], opt.CongestionPenalty)
-	for _, c := range cands[1:] {
-		if cc := pathCost(g, c, opt.CongestionPenalty); cc < bestC {
-			best, bestC = c, cc
+	best, bestC := 0, 0.0
+	for k, c := range corners {
+		cc := lCost(g, s.x1, s.y1, s.x2, s.y2, c[0], c[1], opt.CongestionPenalty)
+		if k == 0 || cc < bestC {
+			best, bestC = k, cc
 		}
 	}
-	return best
+	return lPath(g, s.x1, s.y1, s.x2, s.y2, corners[best][0], corners[best][1])
 }
 
 func commit(g *grid, s *segment, path []int32) {
@@ -363,13 +390,14 @@ func uncommit(g *grid, s *segment) {
 	s.path = nil
 }
 
-func overflowedSegments(g *grid, segs []*segment) []*segment {
-	var out []*segment
-	for _, s := range segs {
-		for _, e := range s.path {
+// overflowedSegments appends to out the indices of segments whose path
+// crosses an overflowed edge.
+func overflowedSegments(g *grid, segs []segment, out []int) []int {
+	for i := range segs {
+		for _, e := range segs[i].path {
 			u, c := useOf(g, e)
 			if u > c {
-				out = append(out, s)
+				out = append(out, i)
 				break
 			}
 		}
@@ -377,41 +405,69 @@ func overflowedSegments(g *grid, segs []*segment) []*segment {
 	return out
 }
 
-// maze runs A* from the segment source to its sink with congestion-aware
-// edge costs; returns nil when the popped-node limit is hit.
 type pqItem struct {
 	node int
 	f, g float64
 }
-type pq []pqItem
 
-func (p pq) Len() int           { return len(p) }
-func (p pq) Less(i, j int) bool { return p[i].f < p[j].f }
-func (p pq) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
-func (p *pq) Push(x any)        { *p = append(*p, x.(pqItem)) }
-func (p *pq) Pop() any          { o := *p; it := o[len(o)-1]; *p = o[:len(o)-1]; return it }
+// astar is the maze search's scratch state. It is sized to the grid on the
+// first search and reused by every later one: seen[n] == epoch marks
+// dist[n] and prev[n] as written by the current search, so nothing is
+// cleared between searches. open is a binary min-heap on f whose sift-up
+// and sift-down are container/heap's, so equal-f items pop in the same
+// order.
+type astar struct {
+	dist  []float64
+	prev  []int32 // node -> incoming edge
+	seen  []uint32
+	epoch uint32
+	open  []pqItem
+}
 
-func maze(g *grid, s *segment, opt Options) []int32 {
+// maze runs A* from the segment source to its sink with congestion-aware
+// edge costs; returns nil when the popped-node limit is hit.
+func (a *astar) maze(g *grid, s *segment, opt Options) []int32 {
 	start := s.y1*g.w + s.x1
 	goal := s.y2*g.w + s.x2
 	if start == goal {
 		return []int32{}
 	}
-	dist := make(map[int]float64, 1024)
-	prev := make(map[int]int32, 1024) // node -> incoming edge
+	if n := g.w * g.h; len(a.seen) != n {
+		a.dist = make([]float64, n)
+		a.prev = make([]int32, n)
+		a.seen = make([]uint32, n)
+		a.epoch = 0
+	}
+	a.epoch++
+	if a.epoch == 0 { // wrapped: stale stamps could alias the new epoch
+		clear(a.seen)
+		a.epoch = 1
+	}
 	h := func(n int) float64 {
 		x, y := n%g.w, n/g.w
 		return float64(iabs(x-s.x2) + iabs(y-s.y2))
 	}
-	open := &pq{{start, h(start), 0}}
-	dist[start] = 0
-	pops := 0
-	for open.Len() > 0 {
-		it := heap.Pop(open).(pqItem)
-		if it.node == goal {
-			return tracePath(g, prev, start, goal)
+	var it pqItem
+	relax := func(n int, e int32) {
+		u, c := useOf(g, e)
+		ng := it.g + edgeCost(u, c, opt.CongestionPenalty)
+		if a.seen[n] != a.epoch || ng < a.dist[n] {
+			a.seen[n] = a.epoch
+			a.dist[n] = ng
+			a.prev[n] = e
+			a.push(pqItem{n, ng + h(n), ng})
 		}
-		if it.g > dist[it.node] {
+	}
+	a.open = append(a.open[:0], pqItem{start, h(start), 0})
+	a.seen[start] = a.epoch
+	a.dist[start] = 0
+	pops := 0
+	for len(a.open) > 0 {
+		it = a.pop()
+		if it.node == goal {
+			return a.tracePath(g, start, goal)
+		}
+		if it.g > a.dist[it.node] {
 			continue
 		}
 		pops++
@@ -419,41 +475,67 @@ func maze(g *grid, s *segment, opt Options) []int32 {
 			return nil
 		}
 		x, y := it.node%g.w, it.node/g.w
-		type nb struct {
-			node int
-			edge int32
-		}
-		var nbs []nb
 		if x+1 < g.w {
-			nbs = append(nbs, nb{it.node + 1, hEdge(g, x, y)})
+			relax(it.node+1, hEdge(g, x, y))
 		}
 		if x > 0 {
-			nbs = append(nbs, nb{it.node - 1, hEdge(g, x-1, y)})
+			relax(it.node-1, hEdge(g, x-1, y))
 		}
 		if y+1 < g.h {
-			nbs = append(nbs, nb{it.node + g.w, vEdge(g, x, y)})
+			relax(it.node+g.w, vEdge(g, x, y))
 		}
 		if y > 0 {
-			nbs = append(nbs, nb{it.node - g.w, vEdge(g, x, y-1)})
-		}
-		for _, n := range nbs {
-			u, c := useOf(g, n.edge)
-			ng := it.g + edgeCost(u, c, opt.CongestionPenalty)
-			if old, ok := dist[n.node]; !ok || ng < old {
-				dist[n.node] = ng
-				prev[n.node] = n.edge
-				heap.Push(open, pqItem{n.node, ng + h(n.node), ng})
-			}
+			relax(it.node-g.w, vEdge(g, x, y-1))
 		}
 	}
 	return nil
 }
 
-func tracePath(g *grid, prev map[int]int32, start, goal int) []int32 {
+// push is container/heap.Push on the typed heap.
+func (a *astar) push(it pqItem) {
+	a.open = append(a.open, it)
+	h := a.open
+	j := len(h) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].f < h[i].f) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// pop is container/heap.Pop on the typed heap.
+func (a *astar) pop() pqItem {
+	h := a.open
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].f < h[j1].f {
+			j = j2 // right child
+		}
+		if !(h[j].f < h[i].f) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	a.open = h[:n]
+	return h[n]
+}
+
+func (a *astar) tracePath(g *grid, start, goal int) []int32 {
 	var path []int32
 	node := goal
 	for node != start {
-		e := prev[node]
+		e := a.prev[node]
 		path = append(path, e)
 		// Move across the edge backwards.
 		idx := int(e / 2)
