@@ -12,8 +12,8 @@
 //	BenchmarkFig5ILPRuntimeScaling     — Fig. 5 ILP scaling point
 //	BenchmarkAblationClustering        — §IV-B.4 clustered vs unclustered ILP
 //
-// plus per-substrate microbenchmarks of the placer, legalizer, router, STA
-// and the LP/MILP engines.
+// plus per-substrate microbenchmarks of the placer, legalizer, router, STA,
+// power analysis, k-means and restacking.
 package mthplace_test
 
 import (
@@ -26,7 +26,6 @@ import (
 	"mthplace/internal/flow"
 	"mthplace/internal/geom"
 	"mthplace/internal/legalize"
-	"mthplace/internal/lp"
 	"mthplace/internal/placer"
 	"mthplace/internal/power"
 	"mthplace/internal/route"
@@ -147,7 +146,7 @@ func BenchmarkFig5ILPRuntimeScaling(b *testing.B) {
 	opts := core.DefaultOptions().Solve
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveILP(context.Background(), m, opts); err != nil {
+		if _, err := core.Solve(context.Background(), m, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -254,51 +253,6 @@ func BenchmarkKMeans2D(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cluster.KMeans2D(context.Background(), pts, 400, 30)
-	}
-}
-
-func BenchmarkLPSolve(b *testing.B) {
-	// A 60-cluster × 12-row assignment LP with capacities and cardinality.
-	build := func() *lp.Problem {
-		p := lp.NewProblem()
-		const nC, nR = 60, 12
-		x := make([][]int, nC)
-		for c := 0; c < nC; c++ {
-			x[c] = make([]int, nR)
-			for r := 0; r < nR; r++ {
-				x[c][r] = p.AddVar(float64((c*7+r*13)%101), 0, 1)
-			}
-		}
-		y := make([]int, nR)
-		for r := 0; r < nR; r++ {
-			y[r] = p.AddVar(0, 0, 1)
-		}
-		for c := 0; c < nC; c++ {
-			row := p.AddConstraint(lp.EQ, 1)
-			for r := 0; r < nR; r++ {
-				p.AddTerm(row, x[c][r], 1)
-			}
-		}
-		for r := 0; r < nR; r++ {
-			row := p.AddConstraint(lp.LE, 0)
-			for c := 0; c < nC; c++ {
-				p.AddTerm(row, x[c][r], 10)
-			}
-			p.AddTerm(row, y[r], -120)
-		}
-		card := p.AddConstraint(lp.EQ, 6)
-		for r := 0; r < nR; r++ {
-			p.AddTerm(card, y[r], 1)
-		}
-		return p
-	}
-	p := build()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sol := p.Solve(lp.Options{})
-		if sol.Status != lp.Optimal {
-			b.Fatalf("status %v", sol.Status)
-		}
 	}
 }
 

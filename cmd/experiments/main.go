@@ -41,7 +41,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none); expiry exits 124")
 		jobs     = flag.Int("jobs", 0, "worker pool bound (0 = GOMAXPROCS, 1 = sequential); results are identical at any setting")
 		only     = flag.String("only", "", "restrict to testcases whose name contains this substring")
-		solver   = flag.String("solver", "", "RAP solver backend: milp (default), rap (structure-aware Lagrangian branch and bound), or greedy")
+		solver   = flag.String("solver", "", "RAP solver backend: rap (default; structure-aware Lagrangian branch and bound) or greedy")
 		verbose  = flag.Bool("v", false, "log per-testcase progress to stderr")
 		quiet    = flag.Bool("q", false, "quiet: warnings and errors only on stderr")
 		table2   = flag.Bool("table2", false, "regenerate Table II")

@@ -47,6 +47,7 @@ import (
 	"syscall"
 	"time"
 
+	"mthplace/internal/core"
 	"mthplace/internal/fault"
 	"mthplace/internal/obs"
 	"mthplace/internal/server"
@@ -68,7 +69,7 @@ func main() {
 	drain := flag.Duration("drain", 2*time.Minute, "graceful-shutdown drain budget for in-flight jobs")
 	retries := flag.Int("retries", 2, "max retries for transient job failures (-1 disables)")
 	journalDir := flag.String("journal", "", "job-journal directory; unfinished jobs are re-run on restart (empty = journaling off)")
-	solver := flag.String("solver", "", `default RAP solver backend for jobs that name none: milp (default), rap, or greedy; per-job override via the request's "solver" field`)
+	solver := flag.String("solver", "", `default RAP solver backend for jobs that name none: rap (default) or greedy; per-job override via the request's "solver" field`)
 	verbose := flag.Bool("v", false, "verbose diagnostics (debug level) on stderr")
 	quiet := flag.Bool("q", false, "quiet: warnings and errors only")
 	flag.Parse()
@@ -77,6 +78,14 @@ func main() {
 
 	if err := fault.InitFromEnv(); err != nil {
 		lg.Error("mthserved: bad MTHPLACE_FAULTS", "err", err)
+		os.Exit(2)
+	}
+
+	// The coordinator's scheduler validates -solver too; checking here also
+	// covers worker mode, which would otherwise fail every job that names
+	// no solver.
+	if err := core.ValidBackend(*solver); err != nil {
+		lg.Error("mthserved: bad -solver", "err", err)
 		os.Exit(2)
 	}
 

@@ -11,7 +11,7 @@
 // goes to stderr through the structured logger, tunable with -v/-q.
 // -trace records a Chrome trace_event file (open in chrome://tracing or
 // https://ui.perfetto.dev) with one span per flow stage plus solver
-// sub-spans; -progress streams solver events (MILP incumbents, k-means
+// sub-spans; -progress streams solver events (RAP incumbents, k-means
 // iteration movement) to stderr as they happen.
 package main
 
@@ -45,12 +45,12 @@ func main() {
 		lefOut   = flag.String("lef", "", "write the cell library to this LEF file")
 		svgOut   = flag.String("svg", "", "render the final placement to this SVG file")
 		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON of the run to this file")
-		progress = flag.Bool("progress", false, "stream solver progress events (stage transitions, MILP incumbents, k-means iterations) to stderr")
+		progress = flag.Bool("progress", false, "stream solver progress events (stage transitions, RAP incumbents, k-means iterations) to stderr")
 		verbose  = flag.Bool("v", false, "verbose diagnostics (debug level) on stderr")
 		quiet    = flag.Bool("q", false, "quiet: warnings and errors only on stderr")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none); expiry exits 124")
 		strict   = flag.Bool("strict", false, "fail fast instead of degrading to an anytime/greedy answer when solve budgets run out")
-		solver   = flag.String("solver", "", "RAP solver backend: milp (default), rap (structure-aware Lagrangian branch and bound), or greedy")
+		solver   = flag.String("solver", "", "RAP solver backend: rap (default; structure-aware Lagrangian branch and bound) or greedy")
 		useSoA   = flag.Bool("soa", false, "iterate the flat structure-of-arrays representation in the hot stages; results are identical to the default")
 	)
 	flag.Parse()

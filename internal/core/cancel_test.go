@@ -25,9 +25,9 @@ func TestBuildClustersPreCanceled(t *testing.T) {
 // reliably be in flight when the cancel lands; here the composed
 // BuildClusters path only needs to prove the error class surfaces.
 
-// TestSolveILPPreCanceled: the solve path (greedy warm start, root cuts,
-// branch and bound) checks the context between stages.
-func TestSolveILPPreCanceled(t *testing.T) {
+// TestSolvePreCanceled: the solve path (greedy warm start, branch and
+// bound) checks the context between stages.
+func TestSolvePreCanceled(t *testing.T) {
 	d, g := placedDesign(t, 0.02)
 	cl, err := BuildClusters(context.Background(), d, 0.3, 20)
 	if err != nil {
@@ -39,16 +39,16 @@ func TestSolveILPPreCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveILP(ctx, m, SolveOptions{}); !errors.Is(err, errs.ErrCanceled) {
+	if _, err := Solve(ctx, m, SolveOptions{}); !errors.Is(err, errs.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }
 
-// TestSolveILPDeadline: an expired deadline walks the degradation ladder.
+// TestSolveDeadline: an expired deadline walks the degradation ladder.
 // The default (anytime) policy returns the best feasible answer in hand —
 // here the greedy warm start, honestly labelled — while the strict policy
 // fails fast with ErrTimeout, the class the HTTP layer maps to 504.
-func TestSolveILPDeadline(t *testing.T) {
+func TestSolveDeadline(t *testing.T) {
 	d, g := placedDesign(t, 0.02)
 	cl, err := BuildClusters(context.Background(), d, 0.3, 20)
 	if err != nil {
@@ -62,7 +62,7 @@ func TestSolveILPDeadline(t *testing.T) {
 	defer cancel()
 	<-ctx.Done()
 
-	got, err := SolveILP(ctx, m, SolveOptions{})
+	got, err := Solve(ctx, m, SolveOptions{})
 	if err != nil {
 		t.Fatalf("anytime policy on expired deadline: err = %v, want degraded result", err)
 	}
@@ -73,7 +73,7 @@ func TestSolveILPDeadline(t *testing.T) {
 		t.Errorf("DegradeReason = %q, want %q", got.Stats.DegradeReason, "deadline")
 	}
 
-	if _, err := SolveILP(ctx, m, SolveOptions{Degrade: DegradeStrict}); !errors.Is(err, errs.ErrTimeout) {
+	if _, err := Solve(ctx, m, SolveOptions{Degrade: DegradeStrict}); !errors.Is(err, errs.ErrTimeout) {
 		t.Fatalf("strict policy: err = %v, want ErrTimeout", err)
 	}
 }

@@ -3,13 +3,13 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"mthplace/internal/celllib"
 	"mthplace/internal/geom"
 	"mthplace/internal/lefdef"
 	"mthplace/internal/legalize"
-	"mthplace/internal/milp"
 	"mthplace/internal/netlist"
 	"mthplace/internal/placer"
 	"mthplace/internal/rowgrid"
@@ -229,7 +229,7 @@ func solveBoth(t *testing.T, scale float64, s float64) (*Model, *Assignment, *As
 	if err != nil {
 		t.Fatal(err)
 	}
-	ilp, err := SolveILP(context.Background(), m, SolveOptions{CandidateRows: 0, MILP: milp.Options{MaxNodes: 20000}})
+	ilp, err := Solve(context.Background(), m, SolveOptions{CandidateRows: 0, MaxNodes: 20000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestILPNoWorseThanGreedy(t *testing.T) {
 	if ilp.Objective > greedy.Objective+1e-6 {
 		t.Errorf("ILP objective %f worse than greedy %f", ilp.Objective, greedy.Objective)
 	}
-	if ilp.Stats.Method != "ilp" && ilp.Stats.Method != "greedy" {
+	if ilp.Stats.Method != "rap" {
 		t.Errorf("method = %q", ilp.Stats.Method)
 	}
 }
@@ -294,7 +294,7 @@ func TestILPOptimalOnTinyInstance(t *testing.T) {
 		Cost:        [][]float64{{5, 1, 9}, {4, 2, 8}},
 		PairCenterY: []int64{0, 100, 200},
 	}
-	ilp, err := SolveILP(context.Background(), m, SolveOptions{})
+	ilp, err := Solve(context.Background(), m, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestILPRespectsCapacityOverGreedyChoice(t *testing.T) {
 		Cost:        [][]float64{{5, 1, 9}, {4, 1, 8}},
 		PairCenterY: []int64{0, 100, 200},
 	}
-	ilp, err := SolveILP(context.Background(), m, SolveOptions{})
+	ilp, err := Solve(context.Background(), m, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,17 +332,44 @@ func TestILPRespectsCapacityOverGreedyChoice(t *testing.T) {
 	}
 }
 
-func TestSolveILPForceGreedy(t *testing.T) {
+// TestSolveGreedyBackend: BackendGreedy returns the greedy heuristic's
+// answer undegraded, and Solve rejects a backend ValidBackend rejects.
+func TestSolveGreedyBackend(t *testing.T) {
 	m, greedy, _ := solveBoth(t, 0.01, 0.5)
-	forced, err := SolveILP(context.Background(), m, SolveOptions{ForceGreedy: true})
+	got, err := Solve(context.Background(), m, SolveOptions{Backend: BackendGreedy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if forced.Stats.Method != "greedy" {
-		t.Error("ForceGreedy must return the greedy solution")
+	if got.Stats.Method != "greedy" || got.Stats.Degraded {
+		t.Errorf("greedy backend stats = %+v, want an undegraded greedy answer", got.Stats)
 	}
-	if forced.Objective != greedy.Objective {
-		t.Error("forced greedy objective differs")
+	if got.Objective != greedy.Objective {
+		t.Error("greedy backend objective differs from SolveGreedy")
+	}
+	if _, err := Solve(context.Background(), m, SolveOptions{Backend: "milp"}); err == nil {
+		t.Error("Solve accepted the removed milp backend")
+	}
+}
+
+func TestValidBackend(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ok   bool
+	}{
+		{"", true},
+		{BackendRAP, true},
+		{BackendGreedy, true},
+		{"milp", false},
+		{"RAP", false},
+		{"cplex", false},
+	} {
+		err := ValidBackend(tc.name)
+		if (err == nil) != tc.ok {
+			t.Errorf("ValidBackend(%q) = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "want rap or greedy") {
+			t.Errorf("ValidBackend(%q) error %q does not list the valid backends", tc.name, err)
+		}
 	}
 }
 
@@ -383,12 +410,12 @@ func TestCandidatePruningStillFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := SolveILP(context.Background(), m, SolveOptions{CandidateRows: 3})
+	pruned, err := Solve(context.Background(), m, SolveOptions{CandidateRows: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertFeasible(t, m, pruned)
-	full, err := SolveILP(context.Background(), m, SolveOptions{CandidateRows: 0})
+	full, err := Solve(context.Background(), m, SolveOptions{CandidateRows: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

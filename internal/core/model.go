@@ -9,10 +9,10 @@
 //	f_cr = α·Disp(c,r) + (1−α)·ΔHPWL(c,r)                    (Eq. 2)
 //
 // subject to unique assignment (Eq. 3), row capacity (Eq. 4) and the
-// minority-row count N_minR (Eq. 5). The ILP of Eqs. (1)–(5) is linearised
-// with row indicator variables and solved exactly with the internal MILP
-// solver; 2-D k-means clustering of the minority cells (§III-B) keeps the
-// variable count N_C × N_R small.
+// minority-row count N_minR (Eq. 5). The ILP of Eqs. (1)–(5) is solved
+// exactly by the structure-aware internal/rap branch and bound (Solve);
+// 2-D k-means clustering of the minority cells (§III-B) keeps the variable
+// count N_C × N_R small.
 package core
 
 import (

@@ -9,7 +9,7 @@ import (
 // TestTable4ParallelEquivalence asserts the tentpole guarantee at the
 // experiment-matrix layer: the deterministic fields of Table IV (metrics
 // and their normalisations) are identical at jobs=1 and jobs=8. Stage
-// wall-clock times are inherently nondeterministic and excluded; the MILP
+// wall-clock times are inherently nondeterministic and excluded; the solver
 // time budgets are lifted so no solver decision can depend on elapsed time.
 // The bound now travels through Config.Jobs alone — nothing global changes,
 // which is exactly what lets the job server run differently-bounded jobs
@@ -17,7 +17,7 @@ import (
 func TestTable4ParallelEquivalence(t *testing.T) {
 	cfg := tiny(t)
 	// Remove every wall-clock-dependent solver decision.
-	cfg.Flow.Core.Solve.MILP.TimeLimit = time.Hour
+	cfg.Flow.Core.Solve.TimeLimit = time.Hour
 
 	run := func(jobs int) *Table4Result {
 		t.Helper()

@@ -60,7 +60,9 @@ func TestDeadlineSurfacesAsTimeout(t *testing.T) {
 // leaked pool workers.
 func TestRunCancelMidFlow(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Synth.Scale = 0.1
+	// Large enough that the exact RAP solve runs for hundreds of
+	// milliseconds, so the cancel lands inside a stage.
+	cfg.Synth.Scale = 0.3
 	r, err := NewRunner(context.Background(), synth.TableII()[0], cfg)
 	if err != nil {
 		t.Fatal(err)

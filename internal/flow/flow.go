@@ -203,7 +203,7 @@ type Metrics struct {
 	SolveDegraded      bool
 	SolveDegradeReason string
 	SolveGap           float64
-	// Solver names the backend that ran the assignment: "milp", "rap" or
+	// Solver names the backend that ran the assignment: "rap" (the default) or
 	// "greedy" for the constraint-aware flows, "baseline" for Flows (2)/(3),
 	// empty for Flow (1).
 	Solver string
@@ -503,7 +503,7 @@ func (r *Runner) runConstraint(ctx context.Context, id ID, withRoute bool) (*Res
 		met.SolveGap = ra.Assignment.Stats.Gap
 		met.Solver = r.Cfg.Core.Solve.Backend
 		if met.Solver == "" {
-			met.Solver = core.BackendMILP
+			met.Solver = core.BackendRAP
 		}
 		stack = ra.Stack
 		seedY = ra.SeedY

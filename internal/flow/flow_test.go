@@ -2,7 +2,6 @@ package flow
 
 import (
 	"context"
-	"os"
 	"testing"
 
 	"mthplace/internal/legalize"
@@ -15,11 +14,6 @@ func testConfig(scale float64) Config {
 	cfg.Synth.Scale = scale
 	cfg.Placer.OuterIters = 5
 	cfg.Placer.SolveSweeps = 8
-	// MTH_TEST_SOLVER lets CI re-run the whole flow suite (chaos runs
-	// included) against an alternative solve backend, e.g. rap.
-	if b := os.Getenv("MTH_TEST_SOLVER"); b != "" {
-		cfg.Core.Solve.Backend = b
-	}
 	return cfg
 }
 

@@ -13,7 +13,7 @@ import (
 
 // TestFlow5Trace is the tentpole acceptance test: a Flow 5 run with routing
 // under a tracer must produce a valid Chrome trace containing all five
-// stage spans, the solver sub-spans, and at least one MILP incumbent event.
+// stage spans, the solver sub-spans, and at least one rap incumbent event.
 func TestFlow5Trace(t *testing.T) {
 	tr := obs.NewTracer()
 	ctx := obs.WithTracer(context.Background(), tr)
@@ -32,7 +32,7 @@ func TestFlow5Trace(t *testing.T) {
 	for _, want := range []string{
 		"flow.parse", "flow.cluster", "flow.solve", "flow.legalize", "flow.route",
 		"cluster.kmeans2d", "core.buildmodel",
-		"milp.incumbent",
+		"rap.incumbent",
 	} {
 		if !seen[want] {
 			t.Errorf("trace missing %q; recorded: %v", want, tr.Spans())
@@ -55,17 +55,17 @@ func TestFlow5Trace(t *testing.T) {
 	}
 	incumbents := 0
 	for _, e := range doc.TraceEvents {
-		if e.Name == "milp.incumbent" && e.Phase == "i" {
+		if e.Name == "rap.incumbent" && e.Phase == "i" {
 			incumbents++
 		}
 	}
 	if incumbents < 1 {
-		t.Error("trace has no MILP incumbent instant event")
+		t.Error("trace has no rap incumbent instant event")
 	}
 }
 
 // TestFlowProgressEvents checks the progress stream carries stage
-// transitions, k-means iterations and MILP incumbents for an ILP flow.
+// transitions, k-means iterations and rap incumbents for an ILP flow.
 func TestFlowProgressEvents(t *testing.T) {
 	var mu sync.Mutex
 	var events []obs.Event
@@ -93,7 +93,7 @@ func TestFlowProgressEvents(t *testing.T) {
 			if e.Iter < 1 {
 				t.Errorf("k-means iteration not 1-based: %+v", e)
 			}
-		case e.Source == "milp" && e.Kind == "incumbent":
+		case e.Source == "rap" && e.Kind == "incumbent":
 			incumbents++
 		}
 	}
@@ -106,7 +106,7 @@ func TestFlowProgressEvents(t *testing.T) {
 		t.Error("no k-means iteration events")
 	}
 	if incumbents == 0 {
-		t.Error("no MILP incumbent events")
+		t.Error("no rap incumbent events")
 	}
 }
 

@@ -43,12 +43,12 @@ const (
 var Designs = []string{"aes_300", "fpu_4000", "des3_210"}
 
 // Degraded-entry parameters: one design re-run with the branch-and-bound
-// budget pinned to a single node and root cuts disabled, which
-// deterministically stops the search before optimality is proven and
-// forces the solve ladder onto its anytime rung. Pinning this entry keeps
+// budget pinned to a single node, which deterministically stops the search
+// before optimality is proven and forces the solve ladder onto its anytime
+// rung (the design is one whose optimum the root bound cannot prove). Pinning this entry keeps
 // the ladder itself — not just the happy path — under regression control.
 const (
-	DegradedDesign   = "aes_300"
+	DegradedDesign   = "fpu_4000"
 	DegradedMaxNodes = 1
 )
 
@@ -153,7 +153,7 @@ func ComputeRep(ctx context.Context, rep flow.Representation) (*Snapshot, error)
 }
 
 // computeDegraded runs the degraded-entry flows with the search budget
-// deterministically exhausted (node limit 1, no root cuts), so the solve
+// deterministically exhausted (node limit 1), so the solve
 // ladder must answer from its anytime rung. The budget is a node count,
 // not wall-clock, so the entry reproduces exactly on any machine. Each run
 // still executes under Config.Verify: a degraded answer must be a legal
@@ -167,8 +167,7 @@ func computeDegraded(ctx context.Context) (*DesignSnapshot, error) {
 	cfg.Synth.Scale = Scale
 	cfg.Synth.Seed = Seed
 	cfg.Verify = true
-	cfg.Core.Solve.MILP.MaxNodes = DegradedMaxNodes
-	cfg.Core.Solve.RootCuts = -1
+	cfg.Core.Solve.MaxNodes = DegradedMaxNodes
 	r, err := flow.NewRunner(ctx, spec, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("golden: degraded %s: %w", DegradedDesign, err)

@@ -312,7 +312,7 @@ func (r *Registry) Handler() http.Handler {
 
 // SolveTotal is the canonical RAP solve counter, labelled by
 // degradation-ladder rung and solver backend
-// (mth_solve_total{rung="ilp|anytime|greedy|baseline",solver="milp|rap|greedy|baseline"}).
+// (mth_solve_total{rung="ilp|anytime|greedy|baseline",solver="rap|greedy|baseline"}).
 func SolveTotal(rung, solver string) *Counter {
 	return Default.Counter("mth_solve_total",
 		"RAP solves completed, by degradation-ladder rung and solver backend.",

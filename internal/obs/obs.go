@@ -18,7 +18,7 @@
 //     Registry, exposed in Prometheus text format (Registry.WriteProm,
 //     Registry.Handler). The package-level Default registry holds the
 //     canonical process-wide series (mth_solve_total, mth_stage_seconds).
-//   - Progress: solver progress events (MILP incumbents, k-means iteration
+//   - Progress: solver progress events (RAP incumbents, k-means iteration
 //     movement, stage transitions) delivered to a SinkFunc installed with
 //     WithProgress; Emit without a sink costs one context lookup.
 package obs
@@ -98,10 +98,10 @@ func NewCLILogger(w io.Writer, verbose, quiet bool) *slog.Logger {
 // Event is one solver progress notification. Producers fill the fields that
 // apply; consumers switch on Source/Kind.
 type Event struct {
-	// Source is the producing subsystem: "flow", "milp", "kmeans".
+	// Source is the producing subsystem: "flow", "rap", "kmeans".
 	Source string `json:"source"`
 	// Kind is the event type: "stage" (flow stage transition), "incumbent"
-	// (MILP found a better feasible solution), "iteration" (one k-means
+	// (the RAP search found a better feasible solution), "iteration" (one k-means
 	// Lloyd iteration).
 	Kind string `json:"kind"`
 	// Stage names the flow stage for Kind "stage".

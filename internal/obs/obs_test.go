@@ -73,14 +73,14 @@ func TestProgressAbsent(t *testing.T) {
 	if Progress(ctx) != nil {
 		t.Error("Progress should be nil without a sink")
 	}
-	Emit(ctx, Event{Source: "milp", Kind: "incumbent"}) // must not panic
+	Emit(ctx, Event{Source: "rap", Kind: "incumbent"}) // must not panic
 }
 
 func TestProgressDelivery(t *testing.T) {
 	var got []Event
 	ctx := WithProgress(context.Background(), func(e Event) { got = append(got, e) })
 	Emit(ctx, Event{Source: "kmeans", Kind: "iteration", Iter: 3, Moved: 17})
-	Emit(ctx, Event{Source: "milp", Kind: "incumbent", Objective: 42, Gap: 0.5})
+	Emit(ctx, Event{Source: "rap", Kind: "incumbent", Objective: 42, Gap: 0.5})
 	if len(got) != 2 {
 		t.Fatalf("delivered %d events, want 2", len(got))
 	}
@@ -95,9 +95,9 @@ func TestEventString(t *testing.T) {
 		want []string
 	}{
 		{Event{Source: "flow", Kind: "stage", Stage: "solve"}, []string{"[flow]", "solve"}},
-		{Event{Source: "milp", Kind: "incumbent", Objective: 12, Gap: 0.25, Nodes: 9},
-			[]string{"[milp]", "obj=12.0", "25.000%", "nodes=9"}},
-		{Event{Source: "milp", Kind: "incumbent", Gap: -1}, []string{"gap<=unknown"}},
+		{Event{Source: "rap", Kind: "incumbent", Objective: 12, Gap: 0.25, Nodes: 9},
+			[]string{"[rap]", "obj=12.0", "25.000%", "nodes=9"}},
+		{Event{Source: "rap", Kind: "incumbent", Gap: -1}, []string{"gap<=unknown"}},
 		{Event{Source: "kmeans", Kind: "iteration", Iter: 4, Moved: 2}, []string{"iter 4", "moved=2"}},
 		{Event{Source: "x", Kind: "other"}, []string{"[x] other"}},
 	}

@@ -157,7 +157,7 @@ func (t *Tracer) add(rec SpanRecord) {
 }
 
 // Instant records a zero-duration event ("thought bubble" in the viewer) —
-// used for MILP incumbents and other point-in-time markers. Records made
+// used for RAP incumbents and other point-in-time markers. Records made
 // directly on the tracer carry no trace position; prefer the package-level
 // Instant, which parents under the context's current span.
 func (t *Tracer) Instant(name string, args map[string]any) {

@@ -9,18 +9,16 @@ import (
 
 	"mthplace/internal/core"
 	"mthplace/internal/errs"
-	"mthplace/internal/milp"
 	"mthplace/internal/oracle"
 )
 
-// anytimeOptions starves the branch and bound — a single node, no root
-// cuts — so the search cannot finish and must hand back its warm-start
-// incumbent via the anytime path. The budget is a node count, not a
-// wall-clock limit, so the outcome is deterministic.
+// anytimeOptions starves the branch and bound to a single node, so a
+// search the root bound cannot close must hand back its incumbent via the
+// anytime path. The budget is a node count, not a wall-clock limit, so the
+// outcome is deterministic.
 func anytimeOptions() core.SolveOptions {
 	return core.SolveOptions{
-		MILP:     milp.Options{MaxNodes: 1},
-		RootCuts: -1,
+		MaxNodes: 1,
 		// Degrade left at the zero value: DegradeAnytime.
 	}
 }
@@ -40,7 +38,7 @@ func TestAnytimeIncumbentPassesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("instance %d: oracle on guaranteed-feasible instance: %v", i, err)
 		}
-		got, err := core.SolveILP(ctx, m, anytimeOptions())
+		got, err := core.Solve(ctx, m, anytimeOptions())
 		if err != nil {
 			t.Fatalf("instance %d: anytime solve must not error on a feasible instance: %v", i, err)
 		}
@@ -49,8 +47,9 @@ func TestAnytimeIncumbentPassesOracle(t *testing.T) {
 		}
 		switch got.Stats.Rung {
 		case core.RungILP:
-			// A one-node search can still prove optimality (integral root
-			// LP); that is not a degradation and must not be labeled as one.
+			// A one-node search can still prove optimality (the root bound
+			// meets the incumbent); that is not a degradation and must not
+			// be labeled as one.
 			if got.Stats.Degraded {
 				t.Errorf("instance %d: proven-optimal result marked degraded", i)
 			}
@@ -80,7 +79,7 @@ func TestAnytimeIncumbentPassesOracle(t *testing.T) {
 			// transient so callers know a bigger budget may succeed.
 			strict := anytimeOptions()
 			strict.Degrade = core.DegradeStrict
-			if _, err := core.SolveILP(ctx, m, strict); !errors.Is(err, errs.ErrTransient) {
+			if _, err := core.Solve(ctx, m, strict); !errors.Is(err, errs.ErrTransient) {
 				t.Errorf("instance %d: strict solve on starved budget returned %v, want ErrTransient", i, err)
 			}
 		default:

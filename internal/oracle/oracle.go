@@ -4,7 +4,7 @@
 // re-derives the optimum of the paper's ILP (Eqs. (3)–(5)) by exhaustive
 // enumeration, and the cost recompute re-derives the f_cr matrix
 // (Eq. (2)) from first principles, so neither shares code — or bugs — with
-// internal/core and internal/milp. Differential tests compare the two on
+// internal/core and internal/rap. Differential tests compare the two on
 // randomized instances; any future solver optimisation that silently breaks
 // optimality or feasibility fails against this package.
 //

@@ -10,7 +10,7 @@ import (
 	"mthplace/internal/core"
 	"mthplace/internal/errs"
 	"mthplace/internal/flow"
-	"mthplace/internal/milp"
+	"mthplace/internal/golden"
 	"mthplace/internal/oracle"
 	"mthplace/internal/synth"
 )
@@ -22,7 +22,7 @@ import (
 func exactOptions() core.SolveOptions {
 	return core.SolveOptions{
 		CandidateRows: 0,
-		MILP:          milp.Options{MaxNodes: 5_000_000},
+		MaxNodes:      5_000_000,
 		// Strict forbids the degradation ladder: anything short of the
 		// proven optimum is an error, so a silently degraded solve can
 		// never slip through the differential comparison.
@@ -104,16 +104,16 @@ func TestDifferentialExactVsILP(t *testing.T) {
 		if err := oracle.Feasibility(m, want); err != nil {
 			t.Fatalf("instance %d: oracle's own solution fails audit: %v", i, err)
 		}
-		got, err := core.SolveILP(ctx, m, exactOptions())
+		got, err := core.Solve(ctx, m, exactOptions())
 		if err != nil {
-			t.Fatalf("instance %d: SolveILP: %v", i, err)
+			t.Fatalf("instance %d: Solve: %v", i, err)
 		}
 		if err := oracle.Feasibility(m, got); err != nil {
 			t.Errorf("instance %d: ILP solution fails audit: %v", i, err)
 		}
 		if !got.Stats.Optimal {
 			t.Errorf("instance %d: ILP did not prove optimality (status %v, %d nodes)",
-				i, got.Stats.MILPStatus, got.Stats.Nodes)
+				i, got.Stats.Status, got.Stats.Nodes)
 		}
 		if math.Abs(got.Objective-want.Objective) > 1e-6 {
 			t.Errorf("instance %d (%d clusters × %d rows, N_minR %d): ILP objective %g, oracle optimum %g",
@@ -157,7 +157,7 @@ func TestDifferentialTightCapacity(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		m := randomModel(rng, false)
 		want, wantErr := oracle.Solve(m)
-		got, gotErr := core.SolveILP(ctx, m, exactOptions())
+		got, gotErr := core.Solve(ctx, m, exactOptions())
 		switch {
 		case wantErr == nil && gotErr == nil:
 			solved++
@@ -185,6 +185,93 @@ func TestDifferentialTightCapacity(t *testing.T) {
 	t.Logf("tight instances: %d solved, %d infeasible, %d greedy misses", solved, infeasible, greedyMiss)
 	if solved == 0 {
 		t.Error("no tight instance was solved by both solvers — generator is miscalibrated")
+	}
+}
+
+// goldenModel prepares the clustered RAP model of one golden-corpus design
+// the way the flow does: synth → initial placement → k-means → cost model.
+func goldenModel(t *testing.T, name string) *core.Model {
+	t.Helper()
+	ctx := context.Background()
+	var spec synth.Spec
+	for _, s := range synth.TableII() {
+		if s.Name() == name {
+			spec = s
+		}
+	}
+	cfg := flow.DefaultConfig()
+	cfg.Synth.Scale = golden.Scale
+	cfg.Synth.Seed = golden.Seed
+	r, err := flow.NewRunner(ctx, spec, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	d := r.Base.Clone()
+	cl, err := core.BuildClusters(ctx, d, cfg.Core.S, cfg.Core.KMeansIters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.BuildModel(ctx, d, r.Grid, cl, r.NminR, cfg.Core.Cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// goldenExact is the production solve configuration (candidate pruning
+// included) with the budgets lifted to an exact proof under Strict.
+func goldenExact(candidateRows int) core.SolveOptions {
+	opt := flow.DefaultConfig().Core.Solve
+	opt.CandidateRows = candidateRows
+	opt.MaxNodes = 2_000_000
+	opt.RelGap = 0
+	opt.TimeLimit = 0
+	opt.Degrade = core.DegradeStrict
+	return opt
+}
+
+// TestGoldenDesignsSolveExact: on every golden-corpus design the
+// production solver proves optimality under Strict, its assignment passes
+// the Eq. 3/4/5 audit, and it never costs more than the greedy heuristic.
+// On des3_210, widening the candidate rows from the production 12 to all
+// of them must never raise the proven optimum: the pruned space is a
+// subset, so a larger optimum there would be a false proof.
+func TestGoldenDesignsSolveExact(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range golden.Designs {
+		m := goldenModel(t, name)
+		got, err := core.Solve(ctx, m, goldenExact(flow.DefaultConfig().Core.Solve.CandidateRows))
+		if err != nil {
+			t.Fatalf("%s: strict exact solve: %v", name, err)
+		}
+		if !got.Stats.Optimal || got.Stats.Rung != core.RungILP {
+			t.Errorf("%s: stats %+v, want a proven optimum", name, got.Stats)
+		}
+		if err := oracle.Feasibility(m, got); err != nil {
+			t.Errorf("%s: solution fails audit: %v", name, err)
+		}
+		greedy, err := core.SolveGreedy(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Objective > greedy.Objective+1e-6 {
+			t.Errorf("%s: objective %g exceeds greedy %g", name, got.Objective, greedy.Objective)
+		}
+		if name != "des3_210" {
+			continue
+		}
+		wide, err := core.Solve(ctx, m, goldenExact(0))
+		if err != nil {
+			t.Fatalf("%s: strict exact solve over all rows: %v", name, err)
+		}
+		if err := oracle.Feasibility(m, wide); err != nil {
+			t.Errorf("%s: all-rows solution fails audit: %v", name, err)
+		}
+		t.Logf("%s: optimum %.1f over 12 candidate rows, %.1f over all %d", name, got.Objective, wide.Objective, m.NR)
+		if wide.Objective > got.Objective+1e-6*math.Abs(got.Objective) {
+			t.Errorf("%s: widening CandidateRows 12 → 0 raised the proven optimum %g → %g",
+				name, got.Objective, wide.Objective)
+		}
 	}
 }
 

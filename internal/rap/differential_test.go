@@ -1,8 +1,8 @@
 // Three-way differential suite for the structure-aware backend: on
-// randomized oracle-sized instances, core.SolveRAP must agree exactly with
-// both the brute-force oracle and the MILP branch-and-bound. An external
-// test package so it can drive the production core entry points (core
-// imports rap; rap_test may import core).
+// randomized oracle-sized instances, core.Solve must agree exactly with
+// both the brute-force oracle and the generic MILP reference
+// (milp_ref_test.go). An external test package so it can drive the
+// production core entry points (core imports rap; rap_test may import core).
 package rap_test
 
 import (
@@ -14,18 +14,16 @@ import (
 
 	"mthplace/internal/core"
 	"mthplace/internal/errs"
-	"mthplace/internal/milp"
 	"mthplace/internal/oracle"
 )
 
 // exactOptions disable every approximation knob: no candidate pruning, an
 // effectively unlimited node budget, strict degradation so anything short
 // of a proven optimum is an error instead of a silent fallback.
-func exactOptions(backend string) core.SolveOptions {
+func exactOptions() core.SolveOptions {
 	return core.SolveOptions{
-		Backend:       backend,
 		CandidateRows: 0,
-		MILP:          milp.Options{MaxNodes: 5_000_000},
+		MaxNodes:      5_000_000,
 		Degrade:       core.DegradeStrict,
 	}
 }
@@ -87,8 +85,9 @@ func diffModel(rng *rand.Rand, slack bool) *core.Model {
 
 // TestDifferentialRAPThreeWay is the acceptance differential for the rap
 // backend: on 300 randomized feasible instances the rap objective must
-// equal both the brute-force optimum and the MILP objective exactly, the
-// assignment must pass the Eq. 3/4/5 audit, and optimality must be proven.
+// equal both the brute-force optimum and the MILP reference's objective
+// exactly, both assignments must pass the Eq. 3/4/5 audit, and optimality
+// must be proven.
 func TestDifferentialRAPThreeWay(t *testing.T) {
 	rng := rand.New(rand.NewSource(1618))
 	ctx := context.Background()
@@ -98,11 +97,14 @@ func TestDifferentialRAPThreeWay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("instance %d: oracle on guaranteed-feasible instance: %v", i, err)
 		}
-		ilp, err := core.Solve(ctx, m, exactOptions(core.BackendMILP))
+		ilp, err := solveMILPRef(ctx, m)
 		if err != nil {
-			t.Fatalf("instance %d: milp backend: %v", i, err)
+			t.Fatalf("instance %d: %v", i, err)
 		}
-		got, err := core.Solve(ctx, m, exactOptions(core.BackendRAP))
+		if err := oracle.Feasibility(m, ilp); err != nil {
+			t.Errorf("instance %d: milp reference solution fails audit: %v", i, err)
+		}
+		got, err := core.Solve(ctx, m, exactOptions())
 		if err != nil {
 			t.Fatalf("instance %d: rap backend: %v", i, err)
 		}
@@ -111,14 +113,14 @@ func TestDifferentialRAPThreeWay(t *testing.T) {
 		}
 		if !got.Stats.Optimal {
 			t.Errorf("instance %d: rap did not prove optimality (status %v, %d nodes)",
-				i, got.Stats.MILPStatus, got.Stats.Nodes)
+				i, got.Stats.Status, got.Stats.Nodes)
 		}
 		if math.Abs(got.Objective-want.Objective) > 1e-6 {
 			t.Errorf("instance %d (%d clusters × %d rows, N_minR %d): rap objective %g, oracle optimum %g",
 				i, m.Clusters.N(), m.NR, m.NminR, got.Objective, want.Objective)
 		}
 		if math.Abs(got.Objective-ilp.Objective) > 1e-6 {
-			t.Errorf("instance %d: rap objective %g, milp objective %g", i, got.Objective, ilp.Objective)
+			t.Errorf("instance %d: rap objective %g, milp reference objective %g", i, got.Objective, ilp.Objective)
 		}
 	}
 }
@@ -134,7 +136,7 @@ func TestDifferentialRAPTightCapacity(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m := diffModel(rng, false)
 		want, wantErr := oracle.Solve(m)
-		got, gotErr := core.Solve(ctx, m, exactOptions(core.BackendRAP))
+		got, gotErr := core.Solve(ctx, m, exactOptions())
 		switch {
 		case wantErr == nil && gotErr == nil:
 			solved++
@@ -151,9 +153,9 @@ func TestDifferentialRAPTightCapacity(t *testing.T) {
 			t.Errorf("instance %d: oracle proves infeasible (%v) but rap returned objective %g",
 				i, wantErr, got.Objective)
 		case wantErr == nil && gotErr != nil:
-			// The rap path, like the MILP path, seeds from the greedy
-			// heuristic and gives up when the heuristic cannot pack — a
-			// documented limitation, not an optimality bug.
+			// The rap path seeds from the greedy heuristic and gives up
+			// when the heuristic cannot pack — a documented limitation, not
+			// an optimality bug.
 			greedyMiss++
 		default:
 			infeasible++

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mthplace/internal/core"
-	"mthplace/internal/milp"
 	"mthplace/internal/oracle"
 	"mthplace/internal/rap"
 )
@@ -79,9 +78,8 @@ func FuzzRAPSolve(f *testing.F) {
 		}
 
 		got, err := core.Solve(context.Background(), m, core.SolveOptions{
-			Backend: core.BackendRAP,
-			MILP:    milp.Options{MaxNodes: 5_000_000},
-			Degrade: core.DegradeStrict,
+			MaxNodes: 5_000_000,
+			Degrade:  core.DegradeStrict,
 		})
 		if err != nil {
 			t.Fatalf("rap backend failed on slack-capacity instance: %v", err)
@@ -90,7 +88,7 @@ func FuzzRAPSolve(f *testing.F) {
 			t.Fatalf("rap result fails audit: %v", err)
 		}
 		if !got.Stats.Optimal {
-			t.Fatalf("rap did not prove optimality (status %v)", got.Stats.MILPStatus)
+			t.Fatalf("rap did not prove optimality (status %v)", got.Stats.Status)
 		}
 		if got.Objective != exact.Objective {
 			t.Fatalf("rap objective %v, oracle optimum %v", got.Objective, exact.Objective)
@@ -113,7 +111,7 @@ func FuzzRAPSolve(f *testing.F) {
 		if err != nil {
 			t.Fatalf("raw rap.Solve: %v", err)
 		}
-		if res.Status != milp.Optimal {
+		if res.Status != rap.Optimal {
 			t.Fatalf("raw solve status %v, want optimal", res.Status)
 		}
 		if res.Obj != exact.Objective {

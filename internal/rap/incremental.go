@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"mthplace/internal/milp"
 )
 
 // Solver is the incremental re-solve handle: it owns an Instance and keeps
@@ -129,7 +127,7 @@ func (s *Solver) Solve(ctx context.Context, opt Options) (*Result, error) {
 		s.solved = false
 	}
 	switch {
-	case res.Status == milp.Optimal:
+	case res.Status == Optimal:
 		s.lb = res.Obj
 	case !math.IsInf(res.Bound, -1):
 		s.lb = res.Bound

@@ -1,7 +1,8 @@
 // Package rap is the structure-aware solver for the paper's row assignment
-// problem (RAP, Eqs. (3)–(5)). Where internal/milp treats the instance as a
-// generic mixed-binary LP over the dense cost matrix, this package exploits
-// the assignment-plus-one-cardinality structure directly:
+// problem (RAP, Eqs. (3)–(5)) and the only exact backend behind core.Solve.
+// Where a generic mixed-binary LP solver would treat the instance as a dense
+// cost matrix, this package exploits the assignment-plus-one-cardinality
+// structure directly:
 //
 //   - Sparse costs. An Instance stores per-cluster candidate arc lists, so
 //     candidate pruning shrinks the data the solver touches, not just the
@@ -19,12 +20,12 @@
 //     constraint propagation prunes arcs that can no longer be feasible,
 //     Lagrangian reduced-cost fixing closes rows no improving solution can
 //     use, and a repair heuristic turns relaxed solutions into incumbents.
-//     Status/StopReason reuse the internal/milp anytime types, so the core
-//     degradation ladder treats both backends identically.
+//     Status/StopReason (status.go) report anytime outcomes to the core
+//     degradation ladder.
 //
 // The package is deliberately standalone — it does not import internal/core.
-// core builds an Instance from its Model (sharing the candidate pruning with
-// the MILP path) and maps the Result back onto its Assignment/ladder types.
+// core builds an Instance from its Model (after its candidate pruning) and
+// maps the Result back onto its Assignment/ladder types.
 // Incremental re-solve lives in the Solver type (incremental.go): it keeps
 // the last duals and incumbent, so a perturbed instance warm-starts instead
 // of solving cold.
@@ -38,7 +39,6 @@ import (
 	"slices"
 	"time"
 
-	"mthplace/internal/milp"
 	"mthplace/internal/obs"
 )
 
@@ -117,14 +117,13 @@ func (in *Instance) Validate() error {
 
 // Options tune the solve.
 type Options struct {
-	// MaxNodes bounds the branch-and-bound nodes (0 = 20000). The nodes
-	// are far cheaper than MILP nodes — each costs a few subgradient
-	// sweeps over the arcs, not an LP solve.
+	// MaxNodes bounds the branch-and-bound nodes (0 = 20000). A node costs
+	// a few subgradient sweeps over the arcs, not an LP solve.
 	MaxNodes int
 	// TimeLimit bounds wall-clock time (0 = none).
 	TimeLimit time.Duration
 	// RelGap stops when (incumbent − bound)/max(1,|incumbent|) is below it
-	// (0 = 1e-6, the same convention as milp.Options).
+	// (0 = 1e-6).
 	RelGap float64
 	// RootIters bounds the root subgradient iterations (0 = 1200).
 	RootIters int
@@ -148,12 +147,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result of a solve. Status and Stop reuse the internal/milp anytime types,
-// so callers run one degradation ladder over both backends.
+// Result of a solve. Status and Stop carry the anytime outcome the caller's
+// degradation ladder maps onto its rungs.
 type Result struct {
-	Status milp.Status
+	Status Status
 	// Stop explains an early exit; StopNone when the search ran to proof.
-	Stop milp.StopReason
+	Stop StopReason
 	// Assign is the incumbent cluster→row assignment (nil without one).
 	Assign []int32
 	// Obj is the incumbent objective.
@@ -1071,7 +1070,7 @@ func solve(ctx context.Context, in *Instance, warm []int32, lam0 []float64, floo
 	s.startT = time.Now()
 	s.sink = obs.Progress(ctx)
 	s.tracer = obs.TracerFrom(ctx)
-	res := &Result{Status: milp.Limit, Bound: math.Inf(-1), Obj: math.Inf(1)}
+	res := &Result{Status: Limit, Bound: math.Inf(-1), Obj: math.Inf(1)}
 	span := obs.StartSpan(ctx, "rap.bnb")
 	s.span = span
 	defer func() {
@@ -1090,8 +1089,8 @@ func solve(ctx context.Context, in *Instance, warm []int32, lam0 []float64, floo
 		if s.hasInc {
 			res.Assign = append([]int32(nil), s.inc...)
 			res.Obj = s.incObj
-			if res.Status == milp.Limit {
-				res.Status = milp.Feasible
+			if res.Status == Limit {
+				res.Status = Feasible
 			}
 		}
 		return res
@@ -1119,7 +1118,7 @@ func solve(ctx context.Context, in *Instance, warm []int32, lam0 []float64, floo
 	}
 	s.rows = root.rows
 	if !s.propagate(root.alive) {
-		res.Status = milp.Infeasible
+		res.Status = Infeasible
 		return finish(), nil
 	}
 	if warm != nil {
@@ -1128,7 +1127,7 @@ func solve(ctx context.Context, in *Instance, warm []int32, lam0 []float64, floo
 	rootBound := s.subgradient(root.alive, root.lam, opt.RootIters, 2.0)
 	if math.IsInf(rootBound, 1) {
 		res.Lambda = append([]float64(nil), root.lam...)
-		res.Status = milp.Infeasible
+		res.Status = Infeasible
 		return finish(), nil
 	}
 	if floor > rootBound {
@@ -1159,21 +1158,21 @@ func solve(ctx context.Context, in *Instance, warm []int32, lam0 []float64, floo
 
 	for h.Len() > 0 {
 		if s.nodes >= opt.MaxNodes {
-			res.Stop = milp.StopNodeLimit
+			res.Stop = StopNodeLimit
 			break
 		}
 		if ctx.Err() != nil {
-			res.Stop = milp.StopContext
+			res.Stop = StopContext
 			break
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
-			res.Stop = milp.StopTimeLimit
+			res.Stop = StopTimeLimit
 			break
 		}
 		nd := h.pop()
 		if s.hasInc && nd.bound >= s.incObj-s.gapAbs() {
 			// Bound-ordered heap: every remaining node is dominated too.
-			res.Status = milp.Optimal
+			res.Status = Optimal
 			res.Bound = s.incObj
 			return finish(), nil
 		}
@@ -1272,10 +1271,10 @@ func solve(ctx context.Context, in *Instance, warm []int32, lam0 []float64, floo
 
 	if h.Len() == 0 {
 		if s.hasInc {
-			res.Status = milp.Optimal
+			res.Status = Optimal
 			res.Bound = s.incObj
 		} else {
-			res.Status = milp.Infeasible
+			res.Status = Infeasible
 		}
 		return finish(), nil
 	}

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"mthplace/internal/milp"
 )
 
 // bruteForce enumerates every assignment of the instance and returns the
@@ -156,12 +154,12 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 			t.Fatalf("instance %d: %v", i, err)
 		}
 		if math.IsInf(want, 1) {
-			if res.Status != milp.Infeasible {
+			if res.Status != Infeasible {
 				t.Fatalf("instance %d: brute force infeasible, solver says %v obj %g", i, res.Status, res.Obj)
 			}
 			continue
 		}
-		if res.Status != milp.Optimal {
+		if res.Status != Optimal {
 			t.Fatalf("instance %d: status %v (stop %v), want Optimal", i, res.Status, res.Stop)
 		}
 		if math.Abs(res.Obj-want) > 1e-6 {
@@ -192,7 +190,7 @@ func TestSolveAnytime(t *testing.T) {
 			t.Fatalf("instance %d: %v", i, err)
 		}
 		switch res.Status {
-		case milp.Optimal, milp.Feasible:
+		case Optimal, Feasible:
 			if res.Obj < want-1e-6 {
 				t.Fatalf("instance %d: incumbent %g below optimum %g", i, res.Obj, want)
 			}
@@ -200,11 +198,11 @@ func TestSolveAnytime(t *testing.T) {
 				t.Fatalf("instance %d: bound %g exceeds optimum %g", i, res.Bound, want)
 			}
 			checkFeasible(t, in, res)
-		case milp.Limit:
-			if res.Stop == milp.StopNone {
+		case Limit:
+			if res.Stop == StopNone {
 				t.Fatalf("instance %d: Limit status with StopNone", i)
 			}
-		case milp.Infeasible:
+		case Infeasible:
 			t.Fatalf("instance %d: feasible instance reported infeasible", i)
 		}
 	}
@@ -221,11 +219,11 @@ func TestSolveCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status == milp.Optimal {
+	if res.Status == Optimal {
 		// A root-only proof needs no node pops; anything else must stop.
 		return
 	}
-	if res.Stop != milp.StopContext {
+	if res.Stop != StopContext {
 		t.Fatalf("stop %v, want StopContext", res.Stop)
 	}
 }
@@ -239,10 +237,10 @@ func TestSolveTimeLimit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Status == milp.Optimal || res.Status == milp.Infeasible {
+		if res.Status == Optimal || res.Status == Infeasible {
 			continue // decided at the root before the clock check
 		}
-		if res.Stop != milp.StopTimeLimit {
+		if res.Stop != StopTimeLimit {
 			t.Fatalf("instance %d: stop %v, want StopTimeLimit", i, res.Stop)
 		}
 		return
@@ -266,12 +264,12 @@ func TestWarmStartRepair(t *testing.T) {
 			t.Fatalf("instance %d: %v", i, err)
 		}
 		if math.IsInf(want, 1) {
-			if res.Status != milp.Infeasible {
+			if res.Status != Infeasible {
 				t.Fatalf("instance %d: want infeasible, got %v", i, res.Status)
 			}
 			continue
 		}
-		if res.Status != milp.Optimal || math.Abs(res.Obj-want) > 1e-6 {
+		if res.Status != Optimal || math.Abs(res.Obj-want) > 1e-6 {
 			t.Fatalf("instance %d: status %v obj %g, want Optimal %g", i, res.Status, res.Obj, want)
 		}
 		checkFeasible(t, in, res)
@@ -327,12 +325,12 @@ func TestIncrementalSolver(t *testing.T) {
 			}
 			want := bruteForce(s.Instance())
 			if math.IsInf(want, 1) {
-				if warmRes.Status != milp.Infeasible {
+				if warmRes.Status != Infeasible {
 					t.Fatalf("instance %d step %d: want infeasible, got %v", i, step, warmRes.Status)
 				}
 				continue
 			}
-			if warmRes.Status != milp.Optimal || math.Abs(warmRes.Obj-want) > 1e-6 {
+			if warmRes.Status != Optimal || math.Abs(warmRes.Obj-want) > 1e-6 {
 				t.Fatalf("instance %d step %d: warm solve status %v obj %g, want Optimal %g",
 					i, step, warmRes.Status, warmRes.Obj, want)
 			}

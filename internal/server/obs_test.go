@@ -154,7 +154,7 @@ func TestJobViewProgress(t *testing.T) {
 		t.Error("progress recorded no k-means iterations")
 	}
 	if p.Incumbents == 0 {
-		t.Error("progress recorded no MILP incumbents")
+		t.Error("progress recorded no solver incumbents")
 	}
 }
 

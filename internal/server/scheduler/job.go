@@ -77,7 +77,7 @@ type JobRequest struct {
 	// Not part of the cache identity: a deadline that fired degrades the
 	// result, and degraded results are never cached.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Solver selects the RAP solver backend for this job: "milp", "rap" or
+	// Solver selects the RAP solver backend for this job: "rap" or
 	// "greedy". Empty uses the scheduler's default.
 	Solver string `json:"solver,omitempty"`
 	// Cache is the cache-control directive: "", "bypass", "no-store" or
@@ -135,11 +135,8 @@ func (r *JobRequest) validate() (synth.Spec, []flow.ID, error) {
 	if r.Jobs < 0 || r.TimeoutMS < 0 || r.FencePasses < 0 {
 		return spec, nil, errors.New("jobs, fence_passes and timeout_ms must be >= 0")
 	}
-	switch r.Solver {
-	case "", core.BackendMILP, core.BackendRAP, core.BackendGreedy:
-	default:
-		return spec, nil, fmt.Errorf("unknown solver %q (want %s, %s or %s)",
-			r.Solver, core.BackendMILP, core.BackendRAP, core.BackendGreedy)
+	if err := core.ValidBackend(r.Solver); err != nil {
+		return spec, nil, err
 	}
 	switch r.Cache {
 	case CacheDefault, CacheBypass, CacheNoStore, CacheOff:
@@ -185,7 +182,7 @@ func (r *JobRequest) instance(id flow.ID, defaultSolver string) store.Instance {
 		inst.Solver = defaultSolver
 	}
 	if inst.Solver == "" {
-		inst.Solver = core.BackendMILP
+		inst.Solver = core.BackendRAP
 	}
 	return inst
 }
@@ -346,15 +343,16 @@ func (j *Job) markRootTraced() bool {
 }
 
 // JobProgress is the live solver-progress snapshot of a running job, fed by
-// the observability event stream (flow stage transitions, MILP incumbents,
-// k-means iterations). All fields are cumulative over the job's flows.
+// the observability event stream (flow stage transitions, solver
+// incumbents, k-means iterations). All fields are cumulative over the
+// job's flows.
 type JobProgress struct {
 	// Stage is the flow stage most recently entered
 	// (parse/cluster/solve/legalize/route).
 	Stage string `json:"stage,omitempty"`
 	// KMeansIterations counts Lloyd iterations across all clusterings.
 	KMeansIterations int `json:"kmeans_iterations,omitempty"`
-	// Incumbents counts MILP incumbent improvements observed.
+	// Incumbents counts solver incumbent improvements observed.
 	Incumbents int `json:"incumbents,omitempty"`
 	// BestObjective is the objective of the latest incumbent.
 	BestObjective float64 `json:"best_objective,omitempty"`
@@ -375,7 +373,7 @@ func (j *Job) noteProgress(e obs.Event) {
 		j.progress.Stage = e.Stage
 	case e.Source == "kmeans" && e.Kind == "iteration":
 		j.progress.KMeansIterations++
-	case e.Source == "milp" && e.Kind == "incumbent":
+	case e.Kind == "incumbent":
 		j.progress.Incumbents++
 		j.progress.BestObjective = e.Objective
 		j.progress.Gap = e.Gap

@@ -103,7 +103,7 @@ type Options struct {
 	// journal shows unfinished is re-queued with its original ID.
 	JournalDir string
 	// DefaultSolver is the RAP solver backend applied to jobs that name
-	// none: "milp" (the default when empty), "rap" or "greedy".
+	// none: "rap" (the default when empty) or "greedy".
 	DefaultSolver string
 	// CacheEntries bounds the content-addressed solve cache; 0 disables
 	// caching entirely.
@@ -216,11 +216,8 @@ type Scheduler struct {
 // Call Shutdown to stop it.
 func New(opt Options) (*Scheduler, error) {
 	opt = opt.withDefaults()
-	switch opt.DefaultSolver {
-	case "", core.BackendMILP, core.BackendRAP, core.BackendGreedy:
-	default:
-		return nil, fmt.Errorf("scheduler: unknown default solver %q (want %s, %s or %s)",
-			opt.DefaultSolver, core.BackendMILP, core.BackendRAP, core.BackendGreedy)
+	if err := core.ValidBackend(opt.DefaultSolver); err != nil {
+		return nil, fmt.Errorf("scheduler: default solver: %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Scheduler{
@@ -634,12 +631,14 @@ func (s *Scheduler) runJobOn(b Backend, jb *Job) {
 			}
 		}
 	}
-	jb.finish(err)
-	s.journal(jb, terminalEvent(jb), err)
+	// Count the finish before the state turns terminal, so a client that
+	// sees the job done never reads it as still in flight in /stats.
 	if jb.countFinish() {
 		s.stats.jobFinished(time.Since(start))
 		s.mFinished.Inc()
 	}
+	jb.finish(err)
+	s.journal(jb, terminalEvent(jb), err)
 	if err != nil {
 		laneOutcome = "error"
 		log.Warn("job finished with error", "state", terminalEvent(jb), "err", err, "dur", time.Since(start))
@@ -729,7 +728,7 @@ func terminalEvent(jb *Job) string {
 // (also used verbatim by the worker-mode server) with this scheduler's
 // pool, solver default and latency stats.
 func (s *Scheduler) execute(ctx context.Context, jb *Job) (*ExecResult, error) {
-	// Solver progress (stage transitions, MILP incumbents, k-means
+	// Solver progress (stage transitions, solver incumbents, k-means
 	// iterations) streams into the job's live view; the job's logger is
 	// scoped with its ID and trace so concurrent jobs' diagnostics stay
 	// attributable and grep-able by trace ID across processes.

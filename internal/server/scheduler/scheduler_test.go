@@ -3,6 +3,7 @@ package scheduler
 import (
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,7 +53,7 @@ func submitWait(t *testing.T, s *Scheduler, req JobRequest) *Job {
 // cache without executing, and the metrics AND the placement digest are
 // bit-identical to the cold solve — not merely equivalent.
 func TestCacheHitBitIdentical(t *testing.T) {
-	for _, solver := range []string{core.BackendMILP, core.BackendRAP, core.BackendGreedy} {
+	for _, solver := range []string{core.BackendRAP, core.BackendGreedy} {
 		t.Run(solver, func(t *testing.T) {
 			s := newSched(t, Options{Workers: 1, CacheEntries: 16})
 			req := JobRequest{Testcase: "aes_300", Scale: 0.02, Flows: []int{2, 5}, Solver: solver}
@@ -102,6 +103,30 @@ func TestCacheHitBitIdentical(t *testing.T) {
 				t.Errorf("jobs_started = %d after a hit, want 1", snap.Started)
 			}
 		})
+	}
+}
+
+// TestRAPJobReportsIncumbents: the job's progress snapshot counts the
+// running solver's incumbent events, so a rap job reports at least the
+// warm start and the objective it settled on.
+func TestRAPJobReportsIncumbents(t *testing.T) {
+	s := newSched(t, Options{Workers: 1})
+	jb := submitWait(t, s, JobRequest{Testcase: "aes_300", Scale: 0.02, Flows: []int{5}, Solver: core.BackendRAP})
+	p := jb.View().Progress
+	if p == nil || p.Incumbents < 1 || p.BestObjective <= 0 {
+		t.Fatalf("rap job progress = %+v, want >= 1 incumbent with its objective", p)
+	}
+}
+
+// TestUnknownSolverRejected: a request or scheduler default naming a
+// backend core.ValidBackend rejects fails up front, listing the valid ones.
+func TestUnknownSolverRejected(t *testing.T) {
+	req := JobRequest{Testcase: "aes_300", Scale: 0.02, Solver: "milp"}
+	if _, _, err := req.validate(); err == nil || !strings.Contains(err.Error(), "want rap or greedy") {
+		t.Errorf("validate(solver milp) = %v, want an error listing rap and greedy", err)
+	}
+	if _, err := New(Options{DefaultSolver: "milp"}); err == nil || !strings.Contains(err.Error(), "want rap or greedy") {
+		t.Errorf("New(DefaultSolver milp) = %v, want an error listing rap and greedy", err)
 	}
 }
 

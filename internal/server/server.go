@@ -94,7 +94,7 @@ type Options struct {
 	// JournalDir, when set, enables the crash-safe job journal.
 	JournalDir string
 	// DefaultSolver is the RAP solver backend applied to jobs that name
-	// none: "milp" (the default when empty), "rap" or "greedy".
+	// none: "rap" (the default when empty) or "greedy".
 	DefaultSolver string
 	// CacheEntries bounds the content-addressed solve cache; 0 (the
 	// default) disables caching, which keeps every explicitly-constructed

@@ -244,7 +244,21 @@ func TestQueueBackpressureAndCancel(t *testing.T) {
 	}
 
 	// The worker is free again: a fresh job runs to completion once
-	// released.
+	// released. The canceled queued job keeps its queue slot until the
+	// freed worker drains it, so wait for the queue to empty first.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		_, stats := h.do("GET", "/stats", nil)
+		var depth int
+		if err := json.Unmarshal(stats["queue_depth"], &depth); err != nil {
+			t.Fatal(err)
+		}
+		if depth == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth still %d after canceling both jobs", depth)
+		}
+	}
 	done := h.submit(req)
 	h.waitState(done, StateRunning)
 	close(release)

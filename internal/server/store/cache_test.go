@@ -9,7 +9,7 @@ import (
 )
 
 func testKey(i int) Key {
-	inst := Instance{Testcase: fmt.Sprintf("tc-%d", i), Scale: 1, Seed: 1, FencePasses: 3, Solver: "milp", Flow: 5}
+	inst := Instance{Testcase: fmt.Sprintf("tc-%d", i), Scale: 1, Seed: 1, FencePasses: 3, Solver: "rap", Flow: 5}
 	return inst.Key()
 }
 

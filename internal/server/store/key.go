@@ -62,7 +62,7 @@ type Instance struct {
 	Seed int64 `json:"seed"`
 	// FencePasses is the effective legalization pass count (default applied).
 	FencePasses int `json:"fence_passes"`
-	// Solver is the effective RAP backend ("milp", "rap" or "greedy").
+	// Solver is the effective RAP backend ("rap" or "greedy").
 	Solver string `json:"solver"`
 	// Route records whether post-route metrics are part of the result.
 	Route bool `json:"route"`

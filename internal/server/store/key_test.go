@@ -14,7 +14,7 @@ func baseInstance() Instance {
 		Scale:       1,
 		Seed:        1,
 		FencePasses: 3,
-		Solver:      "milp",
+		Solver:      "rap",
 		Flow:        5,
 	}
 }
@@ -59,7 +59,7 @@ func TestKeySensitivity(t *testing.T) {
 	v.FencePasses = 4
 	variants["fence passes"] = v
 	v = base
-	v.Solver = "rap"
+	v.Solver = "greedy"
 	variants["solver"] = v
 	v = base
 	v.Route = true

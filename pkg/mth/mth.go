@@ -107,27 +107,17 @@ const (
 	RungGreedy  = core.RungGreedy
 )
 
-// Solver backends for Config.Core.Solve.Backend: the generic MILP branch
-// and bound (the default), the structure-aware Lagrangian solver, or the
-// greedy heuristic alone. Both exact backends return objective-equal
-// results at proven optimality; rap is the faster one on large instances.
+// Solver backends for Config.Core.Solve.Backend: the structure-aware
+// Lagrangian branch and bound (the default) or the greedy heuristic alone.
 const (
-	BackendMILP   = core.BackendMILP
 	BackendRAP    = core.BackendRAP
 	BackendGreedy = core.BackendGreedy
 )
 
 // ValidBackend reports whether name is a usable Config.Core.Solve.Backend
-// value ("" selects the default MILP backend). CLIs and the job server
+// value ("" selects the default rap backend). CLIs and the job server
 // validate requests with it before starting work.
-func ValidBackend(name string) error {
-	switch name {
-	case "", BackendMILP, BackendRAP, BackendGreedy:
-		return nil
-	}
-	return fmt.Errorf("mth: unknown solver backend %q (want %s, %s or %s)",
-		name, BackendMILP, BackendRAP, BackendGreedy)
-}
+func ValidBackend(name string) error { return core.ValidBackend(name) }
 
 // DefaultConfig mirrors the paper's experimental setup.
 func DefaultConfig() Config { return flow.DefaultConfig() }
