@@ -79,6 +79,14 @@ func TestGoldenDetectsDrift(t *testing.T) {
 		t.Errorf("displacement perturbation: got diffs %v, want one displacement drift", diffs)
 	}
 
+	// The DEF digest is exact at any tolerance: a moved cell fails even
+	// when every total stays within bounds.
+	def := perturbed(t, want, func(m *FlowMetrics) { m.DEF = "0000000000000000" })
+	diffs = Compare(def, want, 1)
+	if len(diffs) != 1 || !strings.Contains(diffs[0], "DEF digest drift") {
+		t.Errorf("DEF digest perturbation: got diffs %v, want one DEF digest drift", diffs)
+	}
+
 	small := perturbed(t, want, func(m *FlowMetrics) {
 		m.HPWL += int64(0.5 * DefaultTol * float64(m.HPWL))
 	})
