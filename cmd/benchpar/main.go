@@ -27,7 +27,6 @@ import (
 	"mthplace/internal/flow"
 	"mthplace/internal/lefdef"
 	"mthplace/internal/par"
-	"mthplace/internal/soa"
 	"mthplace/internal/synth"
 	"mthplace/internal/tech"
 )
@@ -47,34 +46,30 @@ type Report struct {
 	Reps      int        `json:"reps"`
 	Workloads []Workload `json:"workloads"`
 	// Scale is the million-cell suite (benchpar -scale N): one large design
-	// driven through generation, SoA conversion, metric kernels, streaming
-	// DEF I/O and an end-to-end greedy flow, with memory per cell recorded
-	// for both representations. Absent when -scale was not requested.
+	// driven through generation, the HPWL kernel, streaming DEF I/O and an
+	// end-to-end greedy flow, with heap per cell recorded. Absent when
+	// -scale was not requested.
 	Scale *ScaleReport `json:"scale,omitempty"`
 }
 
 // ScaleReport is one large-design run of the scale suite.
 type ScaleReport struct {
-	Testcase string `json:"testcase"`
-	Cells    int    `json:"cells"`
-	Nets     int    `json:"nets"`
-	// Generation and conversion.
-	GenMS     float64 `json:"gen_ms"`
-	ConvertMS float64 `json:"convert_ms"`
-	// Heap footprint per cell: the AoS pointer graph (live-heap delta around
-	// generation) vs the flat SoA arrays (exact accounting via soa.Bytes).
+	Testcase string  `json:"testcase"`
+	Cells    int     `json:"cells"`
+	Nets     int     `json:"nets"`
+	GenMS    float64 `json:"gen_ms"`
+	// Heap footprint per cell of the design's pointer graph (live-heap
+	// delta around generation).
 	AoSHeapBytesPerCell float64 `json:"aos_heap_bytes_per_cell"`
-	SoABytesPerCell     float64 `json:"soa_bytes_per_cell"`
-	// Metric kernels over both representations (results asserted equal).
+	// HPWL metric kernel over the whole design.
 	HPWLAoSMS float64 `json:"hpwl_aos_ms"`
-	HPWLSoAMS float64 `json:"hpwl_soa_ms"`
 	// Streaming DEF I/O: write via DEFWriter, re-read via ScanDEF.
 	DEFBytes   int64   `json:"def_bytes"`
 	DEFWriteMS float64 `json:"def_write_ms"`
 	DEFScanMS  float64 `json:"def_scan_ms"`
-	// End-to-end flow on the SoA path with the greedy RAP backend: prepare
-	// (synthesis, mLEF, global place, uniform legalize) plus the full
-	// Flow (5) run, final placement streamed back out as DEF.
+	// End-to-end flow with the greedy RAP backend: prepare (synthesis,
+	// mLEF, global place, uniform legalize) plus the full Flow (5) run,
+	// final placement streamed back out as DEF.
 	FlowSolver  string  `json:"flow_solver"`
 	FlowPrepMS  float64 `json:"flow_prep_ms"`
 	FlowRunMS   float64 `json:"flow_run_ms"`
@@ -145,8 +140,8 @@ func main() {
 			fatal(fmt.Errorf("scale suite: %w", err))
 		}
 		rep.Scale = sr
-		fmt.Printf("%-24s %d cells: gen %.0f ms, convert %.0f ms, %.1f B/cell SoA vs %.1f B/cell AoS heap\n",
-			"Scale/"+sr.Testcase, sr.Cells, sr.GenMS, sr.ConvertMS, sr.SoABytesPerCell, sr.AoSHeapBytesPerCell)
+		fmt.Printf("%-24s %d cells: gen %.0f ms, %.1f B/cell heap, HPWL %.0f ms\n",
+			"Scale/"+sr.Testcase, sr.Cells, sr.GenMS, sr.AoSHeapBytesPerCell, sr.HPWLAoSMS)
 		fmt.Printf("%-24s DEF %d MB: write %.0f ms, scan %.0f ms; flow(%s) prep %.0f ms + run %.0f ms\n",
 			"", sr.DEFBytes>>20, sr.DEFWriteMS, sr.DEFScanMS, sr.FlowSolver, sr.FlowPrepMS, sr.FlowRunMS)
 	}
@@ -162,10 +157,9 @@ func main() {
 }
 
 // runScale drives one large design (nova_300 rescaled to targetCells) through
-// the whole data path: generation, AoS→SoA conversion with per-cell memory
-// accounting, HPWL over both representations (asserted equal), streaming DEF
-// write + re-scan through a file, and an end-to-end Flow (5) run on the SoA
-// path with the greedy RAP backend. Every stage is timed once — at a million
+// the whole data path: generation with per-cell heap accounting, HPWL,
+// streaming DEF write + re-scan through a file, and an end-to-end Flow (5)
+// run with the greedy RAP backend. Every stage is timed once — at a million
 // cells the interesting number is "does it complete and in what footprint",
 // not best-of-N variance.
 func runScale(targetCells, jobs int) (*ScaleReport, error) {
@@ -176,8 +170,7 @@ func runScale(targetCells, jobs int) (*ScaleReport, error) {
 	opt := synth.DefaultOptions()
 	opt.Scale = sp.ScaleForCells(targetCells)
 
-	// Live-heap delta around generation approximates the AoS pointer graph;
-	// soa.Bytes is exact accounting of the flat arrays.
+	// Live-heap delta around generation approximates the pointer graph.
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -194,19 +187,8 @@ func runScale(targetCells, jobs int) (*ScaleReport, error) {
 	sr.AoSHeapBytesPerCell = float64(m1.HeapAlloc-m0.HeapAlloc) / float64(sr.Cells)
 
 	start = time.Now()
-	c := soa.FromDesign(d)
-	sr.ConvertMS = msSince(start)
-	sr.SoABytesPerCell = float64(c.Bytes()) / float64(sr.Cells)
-
-	start = time.Now()
-	hAoS := d.TotalHPWL()
+	d.TotalHPWL()
 	sr.HPWLAoSMS = msSince(start)
-	start = time.Now()
-	hSoA := c.TotalHPWL()
-	sr.HPWLSoAMS = msSince(start)
-	if hAoS != hSoA {
-		return nil, fmt.Errorf("HPWL diverges across representations: aos %d, soa %d", hAoS, hSoA)
-	}
 
 	// Streaming DEF out to a real file and back: the design text never
 	// materialises in memory in either direction.
@@ -240,14 +222,13 @@ func runScale(targetCells, jobs int) (*ScaleReport, error) {
 		return nil, fmt.Errorf("scan DEF: %d components, want %d", scanned, sr.Cells)
 	}
 
-	// Drop the standalone copies before the flow allocates its own, so the
-	// peak footprint is one design, not three.
-	d, c = nil, nil
+	// Drop the standalone copy before the flow allocates its own, so the
+	// peak footprint is one design, not two.
+	d = nil
 	runtime.GC()
 
 	cfg := flow.DefaultConfig()
 	cfg.Synth = opt
-	cfg.Rep = flow.RepSoA
 	cfg.Core.Solve.Backend = core.BackendGreedy
 	cfg.Placer.OuterIters = 2
 	cfg.Placer.SolveSweeps = 4

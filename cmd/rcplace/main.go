@@ -51,7 +51,6 @@ func main() {
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none); expiry exits 124")
 		strict   = flag.Bool("strict", false, "fail fast instead of degrading to an anytime/greedy answer when solve budgets run out")
 		solver   = flag.String("solver", "", "RAP solver backend: rap (default; structure-aware Lagrangian branch and bound) or greedy")
-		useSoA   = flag.Bool("soa", false, "iterate the flat structure-of-arrays representation in the hot stages; results are identical to the default")
 	)
 	flag.Parse()
 
@@ -112,9 +111,6 @@ func main() {
 		fcfg.Core.Solve.Degrade = mth.DegradeStrict
 	}
 	fcfg.Core.Solve.Backend = *solver
-	if *useSoA {
-		fcfg.Rep = mth.RepSoA
-	}
 	runner, err := mth.NewRunner(ctx, spec, fcfg)
 	if err != nil {
 		fatal(err)

@@ -319,17 +319,6 @@ func (l *Library) Master(name string) *Master { return l.byName[name] }
 // modified.
 func (l *Library) Masters() []*Master { return l.masters }
 
-// MastersByHeight returns all masters of one track-height, sorted by name.
-func (l *Library) MastersByHeight(h tech.TrackHeight) []*Master {
-	var out []*Master
-	for _, m := range l.masters {
-		if m.Height == h {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // Variant returns the master implementing the same kind, drive and VT as m
 // at the requested track-height; nil if not in the library.
 func (l *Library) Variant(m *Master, h tech.TrackHeight) *Master {

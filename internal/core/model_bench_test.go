@@ -3,45 +3,20 @@ package core
 import (
 	"context"
 	"testing"
-
-	"mthplace/internal/netlist"
-	"mthplace/internal/rowgrid"
-	"mthplace/internal/soa"
 )
 
-// The BuildModel pair measures the RAP cost-model build over both data
-// representations on the same clustered design. The SoA variant iterates the
-// flat CSR arrays with an epoch-stamped dedup instead of the per-instance
-// pointer walk + map, so the interesting numbers are allocations and the
-// serial wall clock; the outputs are bit-identical (see
-// TestBuildModelSoAEquivalence).
-
-func benchModelInputs(b *testing.B) (context.Context, *netlist.Design, rowgrid.PairGrid, *Clusters, int) {
-	b.Helper()
+// BenchmarkBuildModel measures the serial RAP cost-model build on one
+// clustered design; the interesting numbers are allocations and wall clock.
+func BenchmarkBuildModel(b *testing.B) {
 	d, g := placedDesign(b, 0.05)
 	cl, err := BuildClusters(context.Background(), d, 0.3, 20)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return ctxWithJobs(1), d, g, cl, nMinRFor(d, g)
-}
-
-func BenchmarkBuildModelAoS(b *testing.B) {
-	ctx, d, g, cl, nMinR := benchModelInputs(b)
+	ctx, nMinR := ctxWithJobs(1), nMinRFor(d, g)
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := BuildModel(ctx, d, g, cl, nMinR, DefaultCostParams()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBuildModelSoA(b *testing.B) {
-	ctx, d, g, cl, nMinR := benchModelInputs(b)
-	c := soa.FromDesign(d)
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := BuildModelSoA(ctx, c, g, cl, nMinR, DefaultCostParams()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,7 +39,6 @@ import (
 	"mthplace/internal/power"
 	"mthplace/internal/route"
 	"mthplace/internal/rowgrid"
-	"mthplace/internal/soa"
 	"mthplace/internal/sta"
 	"mthplace/internal/synth"
 	"mthplace/internal/tech"
@@ -78,28 +77,6 @@ const (
 	PointLegalize = "flow.legalize"
 	PointRoute    = "flow.route"
 )
-
-// Representation selects the hot data model the runner iterates.
-type Representation int
-
-const (
-	// RepAoS is the pointer-per-object netlist representation (default).
-	RepAoS Representation = iota
-	// RepSoA routes the uniform legalization, the RAP cost model and the
-	// HPWL metric through the flat structure-of-arrays representation
-	// (internal/soa). Results are bit-identical to RepAoS — the differential
-	// suite in internal/golden asserts it per flow and per design — the
-	// difference is memory locality at scale.
-	RepSoA
-)
-
-// String implements fmt.Stringer.
-func (r Representation) String() string {
-	if r == RepSoA {
-		return "soa"
-	}
-	return "aos"
-}
 
 // ID names a flow.
 type ID int
@@ -146,9 +123,6 @@ type Config struct {
 	// Jobs — it lets several runners share one budgeted pool (the job
 	// server caps total parallelism this way).
 	Pool *par.Pool
-	// Rep selects the data representation the runner's hot stages iterate:
-	// RepAoS (default) or RepSoA. Metrics and placements are identical.
-	Rep Representation
 	// Verify, when set, runs the independent internal/check auditors on
 	// every flow result — placement legality, fence containment and a
 	// metrics recompute — and fails the run if any invariant is violated.
@@ -282,19 +256,7 @@ func NewRunner(ctx context.Context, spec synth.Spec, cfg Config) (r *Runner, err
 		}
 		placer.Global(d, cfg.Placer)
 		g := rowgrid.Uniform(d.Die, m.PairH)
-		if cfg.Rep == RepSoA {
-			// SoA path: legalize over the flat arrays (with the row-list
-			// overlap proof), then materialise back. ToDesign∘FromDesign is
-			// the identity, so Base is exactly the AoS-path design.
-			c := soa.FromDesign(d)
-			if _, err := legalize.UniformCompact(c, g); err != nil {
-				return err
-			}
-			if err := c.Validate(); err != nil {
-				return fmt.Errorf("flow: soa base invalid: %w", err)
-			}
-			d = c.ToDesign()
-		} else if err := legalize.Uniform(d, g); err != nil {
+		if err := legalize.Uniform(d, g); err != nil {
 			return err
 		}
 		if err := errs.FromContext(ctx); err != nil {
@@ -330,25 +292,6 @@ func (r *Runner) Pool() *par.Pool { return r.pool }
 // resolves the same scoped bound.
 func (r *Runner) withPool(ctx context.Context) context.Context {
 	return par.WithPool(ctx, r.pool)
-}
-
-// buildModel dispatches the RAP cost-model construction on the configured
-// representation. Both paths produce bit-identical matrices.
-func (r *Runner) buildModel(ctx context.Context, d *netlist.Design, cl *core.Clusters) (*core.Model, error) {
-	if r.Cfg.Rep == RepSoA {
-		return core.BuildModelSoA(ctx, soa.FromDesign(d), r.Grid, cl, r.NminR, r.Cfg.Core.Cost)
-	}
-	return core.BuildModel(ctx, d, r.Grid, cl, r.NminR, r.Cfg.Core.Cost)
-}
-
-// totalHPWL computes the design HPWL on the configured representation. The
-// SoA path converts first, so every run exercises (and cross-checks) the
-// converter on its final placement.
-func (r *Runner) totalHPWL(d *netlist.Design) int64 {
-	if r.Cfg.Rep == RepSoA {
-		return soa.FromDesign(d).TotalHPWL()
-	}
-	return d.TotalHPWL()
 }
 
 // stage runs fn under one stage's instrumentation: a progress event at
@@ -429,7 +372,7 @@ func (r *Runner) runFlow1(ctx context.Context, withRoute bool) (*Result, error) 
 	res.Metrics = Metrics{
 		Flow:         Flow1,
 		Displacement: 0,
-		HPWL:         r.totalHPWL(d),
+		HPWL:         d.TotalHPWL(),
 		TotalTime:    r.InitTime,
 		NumMinority:  len(d.MinorityInstances()),
 		NminR:        r.NminR,
@@ -471,7 +414,7 @@ func (r *Runner) runConstraint(ctx context.Context, id ID, withRoute bool) (*Res
 			if cl, err = core.BuildClusters(ctx, d, r.Cfg.Core.S, r.Cfg.Core.KMeansIters); err != nil {
 				return fmt.Errorf("row assignment: %w", err)
 			}
-			if model, err = r.buildModel(ctx, d, cl); err != nil {
+			if model, err = core.BuildModel(ctx, d, r.Grid, cl, r.NminR, r.Cfg.Core.Cost); err != nil {
 				return fmt.Errorf("row assignment: %w", err)
 			}
 			return nil
@@ -568,7 +511,7 @@ func (r *Runner) runConstraint(ctx context.Context, id ID, withRoute bool) (*Res
 	}
 	met.TotalTime = time.Since(start)
 	met.Displacement = d.Displacement(r.RefPos)
-	met.HPWL = r.totalHPWL(d)
+	met.HPWL = d.TotalHPWL()
 	obs.Log(ctx).Debug("flow completed", "flow", id.String(), "rung", met.SolveRung,
 		"displacement", met.Displacement, "hpwl", met.HPWL, "dur", met.TotalTime)
 

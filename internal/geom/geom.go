@@ -109,11 +109,6 @@ func (r Rect) Union(q Rect) Rect {
 	}
 }
 
-// Translate returns r shifted by d.
-func (r Rect) Translate(d Point) Rect {
-	return Rect{r.Lo.Add(d), r.Hi.Add(d)}
-}
-
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%d,%d %d,%d]", r.Lo.X, r.Lo.Y, r.Hi.X, r.Hi.Y)

@@ -9,15 +9,11 @@ import (
 	"mthplace/internal/netlist"
 	"mthplace/internal/placer"
 	"mthplace/internal/rowgrid"
-	"mthplace/internal/soa"
 	"mthplace/internal/synth"
 	"mthplace/internal/tech"
 )
 
-// The Uniform pair measures Abacus legalization end to end over both data
-// representations: the AoS path extracts cells from the instance pointer
-// graph, the SoA path slices them out of the flat arrays and rebuilds the
-// index-linked row lists (including the overlap proof) afterwards. Each
+// BenchmarkLegalize measures uniform Abacus legalization end to end. Each
 // iteration restores the pre-legalization global placement so every run does
 // the same packing work.
 
@@ -42,7 +38,7 @@ func placedForBench(b *testing.B) (*netlist.Design, rowgrid.PairGrid) {
 	return d, rowgrid.Uniform(d.Die, m.PairH)
 }
 
-func BenchmarkLegalizeAoS(b *testing.B) {
+func BenchmarkLegalize(b *testing.B) {
 	d, g := placedForBench(b)
 	orig := make([]geom.Point, len(d.Insts))
 	for i, in := range d.Insts {
@@ -54,21 +50,6 @@ func BenchmarkLegalizeAoS(b *testing.B) {
 			in.Pos = orig[i]
 		}
 		if err := Uniform(d, g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLegalizeSoA(b *testing.B) {
-	d, g := placedForBench(b)
-	c := soa.FromDesign(d)
-	origX := append([]int64(nil), c.InstX...)
-	origY := append([]int64(nil), c.InstY...)
-	b.ReportAllocs()
-	for b.Loop() {
-		copy(c.InstX, origX)
-		copy(c.InstY, origY)
-		if _, err := UniformCompact(c, g); err != nil {
 			b.Fatal(err)
 		}
 	}

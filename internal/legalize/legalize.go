@@ -186,15 +186,10 @@ func sortedPairKeys(m map[int][]int32) []int {
 // group is re-placed for wirelength, not for displacement from the initial
 // placement ("we can freely assign all minority cells into the union of
 // fence-regions", §III-D).
+//
+// Cancellation is checked between median-improvement passes and between the
+// final per-class Abacus packings.
 func FenceAware(ctx context.Context, d *netlist.Design, ms *rowgrid.MixedStack, seedY map[int32]int64, passes int) error {
-	return FenceAwareExcluding(ctx, d, ms, seedY, passes, nil)
-}
-
-// FenceAwareExcluding is FenceAware with a set of row pairs excluded from
-// placement — used by the region-based comparator to keep breaker pairs
-// empty. Cancellation is checked between median-improvement passes and
-// between the final per-class Abacus packings.
-func FenceAwareExcluding(ctx context.Context, d *netlist.Design, ms *rowgrid.MixedStack, seedY map[int32]int64, passes int, excluded map[int]bool) error {
 	if passes <= 0 {
 		passes = 3
 	}
@@ -218,7 +213,7 @@ func FenceAwareExcluding(ctx context.Context, d *netlist.Design, ms *rowgrid.Mix
 		if err := errs.FromContext(ctx); err != nil {
 			return fmt.Errorf("legalize: fence-aware: %w", err)
 		}
-		if err := classAbacusExcluding(d, ms, h, nil, excluded); err != nil {
+		if err := classAbacus(d, ms, h, nil); err != nil {
 			return fmt.Errorf("legalize: fence-aware %s: %w", h, err)
 		}
 	}
@@ -228,17 +223,8 @@ func FenceAwareExcluding(ctx context.Context, d *netlist.Design, ms *rowgrid.Mix
 // classAbacus runs Abacus for one track-height class over the rows of that
 // class. Optional targets overrides the Abacus target position per instance.
 func classAbacus(d *netlist.Design, ms *rowgrid.MixedStack, h tech.TrackHeight, targets map[int32]geom.Point) error {
-	return classAbacusExcluding(d, ms, h, targets, nil)
-}
-
-// classAbacusExcluding is classAbacus with excluded row pairs removed from
-// the candidate set.
-func classAbacusExcluding(d *netlist.Design, ms *rowgrid.MixedStack, h tech.TrackHeight, targets map[int32]geom.Point, excluded map[int]bool) error {
 	var rows []Row
 	for _, p := range ms.PairsOf(h) {
-		if excluded[p] {
-			continue
-		}
 		lo, hi := ms.RowsOfPair(p)
 		rows = append(rows, Row{Y: lo, X0: ms.X0, X1: ms.X1}, Row{Y: hi, X0: ms.X0, X1: ms.X1})
 	}

@@ -149,15 +149,6 @@ func (d *Design) TotalHPWL() int64 {
 	return sum
 }
 
-// NetBBox returns the pin bounding box of a net.
-func (d *Design) NetBBox(net int32) geom.Rect {
-	var b geom.BBox
-	for _, ref := range d.Nets[net].Pins {
-		b.Extend(d.PinPos(ref))
-	}
-	return b.Rect()
-}
-
 // Driver returns the pin reference driving a net: the unique instance output
 // pin or input port on it. ok is false for undriven nets.
 func (d *Design) Driver(net int32) (PinRef, bool) {

@@ -199,7 +199,7 @@ type Remote struct {
 
 	rttNanos      atomic.Int64 // last successful heartbeat RTT
 	dispatchFails atomic.Int64
-	clockOffUS    atomic.Int64 // worker clock minus coordinator clock, micros
+	clockOffUS    atomic.Int64 // worker clock minus coordinator clock, micros; refreshed by each successful ping
 }
 
 // NewRemote builds a remote lane. Call Start to begin dispatching.
@@ -287,13 +287,6 @@ func (r *Remote) LastRTT() time.Duration { return time.Duration(r.rttNanos.Load(
 
 // DispatchFailures returns the lane's transport-level failure count.
 func (r *Remote) DispatchFailures() int64 { return r.dispatchFails.Load() }
-
-// ClockOffset returns the estimated worker-minus-coordinator clock skew,
-// refreshed by each successful ping (0 before the first, or when the worker
-// predates the time header).
-func (r *Remote) ClockOffset() time.Duration {
-	return time.Duration(r.clockOffUS.Load()) * time.Microsecond
-}
 
 // probeLoop is the heartbeat: ping the worker every interval, feeding the
 // breaker. Success closes the circuit (readmission); failure counts toward

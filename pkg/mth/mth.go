@@ -51,11 +51,9 @@ type (
 	Runner = flow.Runner
 	// Pool is a scoped worker-pool handle (see Config.Pool).
 	Pool = par.Pool
-	// Representation selects the hot data model (see Config.Rep).
-	Representation = flow.Representation
 )
 
-// The five flows of Table III, plus the future-work comparators.
+// The five flows of Table III, plus the FinFlex future-work comparator.
 const (
 	Flow1       = flow.Flow1
 	Flow2       = flow.Flow2
@@ -63,15 +61,6 @@ const (
 	Flow4       = flow.Flow4
 	Flow5       = flow.Flow5
 	FlowFinFlex = flow.FlowFinFlex
-	FlowRegion  = flow.FlowRegion
-)
-
-// Data representations for Config.Rep: the pointer-per-object netlist
-// (default) or the flat structure-of-arrays model. Results are identical;
-// RepSoA trades conversion passes for memory locality at scale.
-const (
-	RepAoS = flow.RepAoS
-	RepSoA = flow.RepSoA
 )
 
 // Typed failure classes for errors.Is — see flow's docs for semantics.
