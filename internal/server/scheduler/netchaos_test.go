@@ -1,9 +1,12 @@
 package scheduler
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -222,5 +225,59 @@ func runNetChaosSchedule(t *testing.T, seed int64) {
 	if got := s.Stats().Reroutes; int64(rerouteInstants) != got {
 		t.Errorf("disruption=%s: %d reroute instants in traces vs %d counted reroutes",
 			disruption, rerouteInstants, got)
+	}
+	assertStatsMatchMetrics(t, s, disruption.String())
+}
+
+// promSeries parses the scheduler's Prometheus exposition into series name
+// (labels included, as rendered) → value.
+func promSeries(t *testing.T, s *Scheduler) map[string]float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := s.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	sc := bufio.NewScanner(strings.NewReader(b.String()))
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("exposition line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// assertStatsMatchMetrics checks that every counter /stats reports equals
+// its /metrics series: one fabric, one count, whichever view reads it.
+// Series a configuration never registers (the cache pair with caching off)
+// read as zero.
+func assertStatsMatchMetrics(t *testing.T, s *Scheduler, label string) {
+	t.Helper()
+	snap := s.Stats()
+	series := promSeries(t, s)
+	check := func(name string, got int64) {
+		t.Helper()
+		if want := series[name]; float64(got) != want {
+			t.Errorf("disruption=%s: /stats reports %d for %s, /metrics %v", label, got, name, want)
+		}
+	}
+	check("jobs_started_total", snap.Started)
+	check("jobs_finished_total", snap.Finished)
+	check("job_retries", snap.Retries)
+	check("job_reroutes_total", snap.Reroutes)
+	check("lease_expirations_total", snap.LeaseExpirations)
+	check("mth_cache_hits_total", snap.Cache.Hits)
+	check("mth_cache_misses_total", snap.Cache.Misses)
+	for _, b := range snap.Backends {
+		if b.Addr != "" {
+			check(fmt.Sprintf("dispatch_failures_total{backend=%q}", b.Name), b.DispatchFailures)
+		}
 	}
 }
