@@ -50,7 +50,8 @@ import (
 	"mthplace/internal/core"
 	"mthplace/internal/fault"
 	"mthplace/internal/obs"
-	"mthplace/internal/server"
+	"mthplace/internal/server/scheduler"
+	"mthplace/internal/server/transport"
 	"mthplace/internal/server/worker"
 )
 
@@ -113,7 +114,7 @@ func main() {
 		localLanes = 0
 	}
 
-	srv, err := server.New(server.Options{
+	sched, err := scheduler.New(scheduler.Options{
 		Workers:       *workers,
 		QueueDepth:    *queue,
 		Backends:      localLanes,
@@ -131,11 +132,12 @@ func main() {
 		lg.Error("mthserved: startup failed", "err", err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	api := transport.New(sched)
+	httpSrv := &http.Server{Addr: *addr, Handler: api.Handler()}
 
 	var dbgSrv *http.Server
 	if *debugAddr != "" {
-		dbgSrv = &http.Server{Addr: *debugAddr, Handler: debugMux(srv)}
+		dbgSrv = &http.Server{Addr: *debugAddr, Handler: debugMux(api)}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -172,7 +174,7 @@ func main() {
 				lg.Warn("mthserved: debug shutdown", "err", err)
 			}
 		}
-		if err := srv.Shutdown(drainCtx); err != nil {
+		if err := sched.Shutdown(drainCtx); err != nil {
 			lg.Error("mthserved: job drain failed", "err", err)
 			os.Exit(1)
 		}
@@ -224,13 +226,13 @@ func runWorker(lg *slog.Logger, addr string, slots, poolJobs int, solver string,
 // debugMux serves the profiling and metrics endpoints on the debug
 // listener. pprof is registered explicitly (not via the package's
 // DefaultServeMux side effect) so the main API mux never exposes it.
-func debugMux(srv *server.Server) *http.ServeMux {
+func debugMux(api *transport.API) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("GET /metrics", srv.MetricsHandler())
+	mux.Handle("GET /metrics", api.MetricsHandler())
 	return mux
 }

@@ -66,7 +66,6 @@ func (s *Scheduler) sweepLeases(now time.Time) {
 		if !expired {
 			continue
 		}
-		s.stats.leaseExpired()
 		s.mLeaseExp.Inc()
 		s.journal(jb, journal.EventLeaseExpired, nil)
 		s.traceInstant(jb, "lease_expired", map[string]any{"epoch": epoch, "backend": jb.backendName()})
@@ -128,7 +127,6 @@ func (s *Scheduler) reroute(jb *Job, epoch int64) bool {
 	be := s.backends[idx]
 	jb.setBackendName(be.Name())
 	s.journalRerouted(jb, be.Name())
-	s.stats.jobRerouted()
 	s.mReroutes.Inc()
 	s.traceInstant(jb, "reroute", map[string]any{"from": fromName, "to": be.Name(), "epoch": epoch})
 	// Cannot fail: room was checked above and every Enqueue is under s.mu.
@@ -137,7 +135,6 @@ func (s *Scheduler) reroute(jb *Job, epoch int64) bool {
 		jb.finish(fmt.Errorf("re-route enqueue to %s: %w: %w", be.Name(), err, errs.ErrUnavailable))
 		s.journal(jb, terminalEvent(jb), err)
 		if jb.countFinish() {
-			s.stats.jobFinished(0)
 			s.mFinished.Inc()
 		}
 		s.traceRoot(jb)

@@ -172,12 +172,10 @@ type RemoteOptions struct {
 	// Client overrides the HTTP client (tests); nil uses a default with no
 	// global timeout — per-dispatch lifetimes come from the job context.
 	Client *http.Client
-	// OnCircuit observes circuit-state changes; OnRTT observes successful
-	// heartbeat round-trip times; OnDispatchFailure counts transport-level
-	// dispatch failures. All optional.
-	OnCircuit         func(string)
-	OnRTT             func(time.Duration)
-	OnDispatchFailure func()
+	// Registry receives the lane's series, labelled backend=<name>: the
+	// circuit state, the last heartbeat round trip and the dispatch
+	// failure count. Nil keeps them in a private registry.
+	Registry *obs.Registry
 	// OnSpans receives each dispatched job's worker-side span records,
 	// already skew-corrected and lane-labelled. Called from dispatcher
 	// goroutines (WireResult piggyback) and the prober (stash drain), so the
@@ -197,9 +195,9 @@ type Remote struct {
 	ctx    context.Context // prober lifetime; canceled by Close
 	cancel context.CancelFunc
 
-	rttNanos      atomic.Int64 // last successful heartbeat RTT
-	dispatchFails atomic.Int64
-	clockOffUS    atomic.Int64 // worker clock minus coordinator clock, micros; refreshed by each successful ping
+	rtt        *obs.Gauge   // last successful heartbeat round trip, seconds
+	fails      *obs.Counter // transport-level dispatch failures
+	clockOffUS atomic.Int64 // worker clock minus coordinator clock, micros; refreshed by each successful ping
 }
 
 // NewRemote builds a remote lane. Call Start to begin dispatching.
@@ -214,15 +212,35 @@ func NewRemote(name string, opt RemoteOptions) *Remote {
 	if client == nil {
 		client = &http.Client{}
 	}
+	reg := opt.Registry
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	labels := obs.Labels{"backend": name}
+	circuit := reg.Gauge("backend_circuit_state", "Remote lane circuit state (0 closed, 1 open, 2 half-open).", labels)
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Remote{
 		name:   name,
 		opt:    opt,
 		client: client,
 		queue:  make(chan *Job, opt.Depth),
-		br:     newBreaker(opt.BreakerThreshold, opt.BreakerCooldown, opt.OnCircuit),
+		br:     newBreaker(opt.BreakerThreshold, opt.BreakerCooldown, func(st string) { circuit.Set(circuitValue(st)) }),
+		rtt:    reg.Gauge("backend_heartbeat_rtt_seconds", "Last successful heartbeat round trip per remote lane.", labels),
+		fails:  reg.Counter("dispatch_failures_total", "Transport-level dispatch failures per remote lane.", labels),
 		ctx:    ctx,
 		cancel: cancel,
+	}
+}
+
+// circuitValue maps a circuit state to its gauge encoding.
+func circuitValue(state string) float64 {
+	switch state {
+	case CircuitOpen:
+		return 1
+	case CircuitHalfOpen:
+		return 2
+	default:
+		return 0
 	}
 }
 
@@ -281,13 +299,6 @@ func (r *Remote) Healthy() bool { return r.br.State() != CircuitOpen }
 // CircuitState returns the lane's circuit state for /stats.
 func (r *Remote) CircuitState() string { return r.br.State() }
 
-// LastRTT returns the most recent successful heartbeat round trip (0
-// before the first probe).
-func (r *Remote) LastRTT() time.Duration { return time.Duration(r.rttNanos.Load()) }
-
-// DispatchFailures returns the lane's transport-level failure count.
-func (r *Remote) DispatchFailures() int64 { return r.dispatchFails.Load() }
-
 // probeLoop is the heartbeat: ping the worker every interval, feeding the
 // breaker. Success closes the circuit (readmission); failure counts toward
 // opening it even with no traffic, so a silently dead worker is ejected
@@ -336,10 +347,7 @@ func (r *Remote) Ping(ctx context.Context) error {
 		return fmt.Errorf("worker %s ping: status %d", r.name, resp.StatusCode)
 	}
 	rtt := time.Since(t0)
-	r.rttNanos.Store(int64(rtt))
-	if r.opt.OnRTT != nil {
-		r.opt.OnRTT(rtt)
-	}
+	r.rtt.Set(rtt.Seconds())
 	if h := resp.Header.Get(WorkerTimeHeader); h != "" {
 		if workerUS, err := strconv.ParseInt(h, 10, 64); err == nil {
 			// The worker stamped its clock somewhere inside our round trip;
@@ -423,10 +431,7 @@ func (r *Remote) Execute(ctx context.Context, jb *Job) (*ExecResult, error) {
 	}
 	res, err := r.dispatch(ctx, jb)
 	if err != nil && ctx.Err() == nil {
-		r.dispatchFails.Add(1)
-		if r.opt.OnDispatchFailure != nil {
-			r.opt.OnDispatchFailure()
-		}
+		r.fails.Inc()
 		r.br.failure()
 		return nil, err
 	}

@@ -180,9 +180,10 @@ type Scheduler struct {
 	backends []Backend
 	ring     *ring
 
-	// reg is this scheduler's private metric registry: job-lifecycle and
-	// cache series live here (not in obs.Default) so multiple schedulers in
-	// one process — the normal situation in tests — never cross-accumulate.
+	// reg is this scheduler's private metric registry and the only store
+	// of its counters: /stats and /metrics both read these series. They
+	// live here (not in obs.Default) so multiple schedulers in one process
+	// — the normal situation in tests — never cross-accumulate.
 	reg       *obs.Registry
 	mStarted  *obs.Counter
 	mFinished *obs.Counter
@@ -192,6 +193,10 @@ type Scheduler struct {
 	mInflight *obs.Gauge
 	mReroutes *obs.Counter
 	mLeaseExp *obs.Counter
+	// Registered only when the cache is on, so a cache-less scrape shows
+	// no cache families.
+	mCacheHits   *obs.Counter
+	mCacheMisses *obs.Counter
 
 	baseCtx    context.Context // parent of every job context
 	baseCancel context.CancelFunc
@@ -223,7 +228,7 @@ func New(opt Options) (*Scheduler, error) {
 	s := &Scheduler{
 		opt:        opt,
 		pool:       par.NewPool(opt.PoolJobs),
-		stats:      newStats(opt.Workers),
+		stats:      newStats(),
 		log:        opt.Logger,
 		results:    store.NewResults(opt.ResultCapacity),
 		traces:     store.NewTraces(opt.ResultCapacity),
@@ -247,8 +252,7 @@ func New(opt Options) (*Scheduler, error) {
 	s.execFn = s.execute
 
 	if s.cache = store.NewCache(opt.CacheEntries); s.cache != nil {
-		hits, misses := obs.CacheHits(s.reg), obs.CacheMisses(s.reg)
-		s.cache.SetHooks(func() { hits.Inc() }, func() { misses.Inc() })
+		s.mCacheHits, s.mCacheMisses = obs.CacheHits(s.reg), obs.CacheMisses(s.reg)
 	}
 
 	var pending []journal.PendingJob
@@ -285,22 +289,15 @@ func New(opt Options) (*Scheduler, error) {
 	}
 	for ri, addr := range opt.Remotes {
 		i := opt.Backends + ri
-		name := fmt.Sprintf("remote-%d", ri)
-		labels := obs.Labels{"backend": name}
-		circuit := s.reg.Gauge("backend_circuit_state", "Remote lane circuit state (0 closed, 1 open, 2 half-open).", labels)
-		rtt := s.reg.Gauge("backend_heartbeat_rtt_seconds", "Last successful heartbeat round trip per remote lane.", labels)
-		fails := s.reg.Counter("dispatch_failures_total", "Transport-level dispatch failures per remote lane.", labels)
-		s.backends = append(s.backends, NewRemote(name, RemoteOptions{
-			Addr:              addr,
-			Dispatchers:       opt.RemoteWorkers,
-			Depth:             share(opt.QueueDepth, lanes, i) + perLane[i],
-			ProbeInterval:     opt.ProbeInterval,
-			BreakerThreshold:  opt.BreakerThreshold,
-			BreakerCooldown:   opt.BreakerCooldown,
-			OnCircuit:         func(st string) { circuit.Set(circuitValue(st)) },
-			OnRTT:             func(d time.Duration) { rtt.Set(d.Seconds()) },
-			OnDispatchFailure: func() { fails.Inc() },
-			OnSpans:           s.ingestWorkerSpans,
+		s.backends = append(s.backends, NewRemote(fmt.Sprintf("remote-%d", ri), RemoteOptions{
+			Addr:             addr,
+			Dispatchers:      opt.RemoteWorkers,
+			Depth:            share(opt.QueueDepth, lanes, i) + perLane[i],
+			ProbeInterval:    opt.ProbeInterval,
+			BreakerThreshold: opt.BreakerThreshold,
+			BreakerCooldown:  opt.BreakerCooldown,
+			Registry:         s.reg,
+			OnSpans:          s.ingestWorkerSpans,
 		}))
 	}
 	// Pre-register each lane's RED series so a scrape shows the families
@@ -328,18 +325,6 @@ func New(opt Options) (*Scheduler, error) {
 		s.startLeaseLoop()
 	}
 	return s, nil
-}
-
-// circuitValue maps a circuit state to its gauge encoding.
-func circuitValue(state string) float64 {
-	switch state {
-	case CircuitOpen:
-		return 1
-	case CircuitHalfOpen:
-		return 2
-	default:
-		return 0
-	}
 }
 
 // runnerFor binds a lane to the job-lifecycle loop, so the loop knows
@@ -471,7 +456,6 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 			// expiry) counted a start; going terminal here must count the
 			// finish or the inflight gauge leaks one forever.
 			if j.countFinish() {
-				s.stats.jobFinished(0)
 				s.mFinished.Inc()
 			}
 			s.traceRoot(j)
@@ -541,7 +525,6 @@ func (s *Scheduler) runJobOn(b Backend, jb *Job) {
 		s.journal(jb, journal.EventStarted, nil)
 	}
 	if jb.countStart() {
-		s.stats.jobStarted()
 		s.mStarted.Inc()
 	}
 	rb, remote := b.(*Remote)
@@ -587,7 +570,6 @@ func (s *Scheduler) runJobOn(b Backend, jb *Job) {
 		if !s.shouldRetry(ctx, err, attempt) {
 			break
 		}
-		s.stats.jobRetried()
 		s.mRetries.Inc()
 		obs.Instant(dctx, "retry", map[string]any{"attempt": attempt + 1, "err": err.Error()})
 		log.Warn("job retrying after transient failure", "attempt", attempt+1, "err", err)
@@ -617,7 +599,6 @@ func (s *Scheduler) runJobOn(b Backend, jb *Job) {
 	if err == nil && res != nil && degradedResults(res.Metrics) {
 		degraded = true
 		jb.noteDegraded()
-		s.stats.jobDegraded()
 		s.mDegraded.Inc()
 	}
 	if err == nil && res != nil {
@@ -634,7 +615,7 @@ func (s *Scheduler) runJobOn(b Backend, jb *Job) {
 	// Count the finish before the state turns terminal, so a client that
 	// sees the job done never reads it as still in flight in /stats.
 	if jb.countFinish() {
-		s.stats.jobFinished(time.Since(start))
+		s.stats.addBusy(time.Since(start))
 		s.mFinished.Inc()
 	}
 	jb.finish(err)
@@ -656,7 +637,6 @@ func (s *Scheduler) runJobOn(b Backend, jb *Job) {
 func (s *Scheduler) safeExec(ctx context.Context, jb *Job) (res *ExecResult, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			s.stats.jobPanicked()
 			s.mPanics.Inc()
 			err = errs.FromPanic(rec, "scheduler: job %s", jb.ID)
 		}
@@ -820,8 +800,9 @@ func (s *Scheduler) submitLocked(req JobRequest) (*Job, error) {
 	// job never touches a queue — it is born terminal, with the cached
 	// metrics as its outcome. The journal still records acceptance and
 	// completion so replay after a crash mid-append stays consistent.
-	if req.cacheRead() {
+	if s.cache != nil && req.cacheRead() {
 		if entries, ok := s.cache.GetAll(jb.keys); ok {
+			s.mCacheHits.Inc()
 			if err := s.journalSubmit(jb, req, ""); err != nil {
 				return nil, err
 			}
@@ -845,6 +826,7 @@ func (s *Scheduler) submitLocked(req JobRequest) (*Job, error) {
 			s.log.Info("job served from cache", "job", jb.ID, "trace_id", jb.TraceID(), "testcase", spec.Name())
 			return jb, nil
 		}
+		s.mCacheMisses.Inc()
 	}
 
 	idx := s.ring.pick(routingKey(jb.keys))
@@ -923,7 +905,6 @@ func (s *Scheduler) Cancel(id string) (jb *Job, ok bool) {
 		// inflight accounting and close its timeline here, because no
 		// runJobOn will ever own it again.
 		if jb.countFinish() {
-			s.stats.jobFinished(0)
 			s.mFinished.Inc()
 		}
 		s.traceRoot(jb)
@@ -974,7 +955,8 @@ type CacheStat struct {
 // consistent pass.
 type StatsSnapshot struct {
 	UptimeSeconds float64
-	QueueDepth    int // sum over backends (legacy single-queue field)
+	// QueueDepth, QueueCapacity and Workers are sums over the lanes.
+	QueueDepth    int
 	QueueCapacity int
 	Workers       int
 	BusyWorkers   int
@@ -996,49 +978,56 @@ type StatsSnapshot struct {
 	Cache            CacheStat
 }
 
-// Stats gathers the full observability snapshot.
+// lifecycle reads the job start and finish counters, finished first:
+// every finish is counted after its start, so in this order inflight =
+// started − finished can over-read by a start that raced the read but can
+// never go negative.
+func (s *Scheduler) lifecycle() (started, finished, inflight int64) {
+	finished = s.mFinished.Value()
+	started = s.mStarted.Value()
+	return started, finished, started - finished
+}
+
+// Stats gathers the full observability snapshot. Every counter is read
+// from the scheduler's registry, the series /metrics renders, and every
+// capacity is summed over the lanes, the same source as the depths.
 func (s *Scheduler) Stats() StatsSnapshot {
-	busy, util, perFlow := s.stats.snapshot()
-	degraded, retries, panics := s.stats.resilience()
-	reroutes, leaseExp := s.stats.faults()
-	started, finished, inflight := s.stats.inflight()
+	started, finished, inflight := s.lifecycle()
 	snap := StatsSnapshot{
 		UptimeSeconds:    s.stats.uptime().Seconds(),
-		QueueCapacity:    s.opt.QueueDepth,
-		Workers:          s.opt.Workers,
-		BusyWorkers:      busy,
-		Utilization:      util,
+		BusyWorkers:      int(inflight),
 		PoolJobs:         s.pool.Jobs(),
 		JobCounts:        map[State]int{},
 		Started:          started,
 		Finished:         finished,
 		Inflight:         inflight,
-		Degraded:         degraded,
-		Retries:          retries,
-		Panics:           panics,
-		Reroutes:         reroutes,
-		LeaseExpirations: leaseExp,
-		FlowLatency:      perFlow,
+		Degraded:         s.mDegraded.Value(),
+		Retries:          s.mRetries.Value(),
+		Panics:           s.mPanics.Value(),
+		Reroutes:         s.mReroutes.Value(),
+		LeaseExpirations: s.mLeaseExp.Value(),
+		Cache: CacheStat{
+			Enabled:  s.cache != nil,
+			Entries:  s.cache.Len(),
+			Capacity: s.cache.Capacity(),
+		},
 	}
-	hits, misses := s.cache.Stats()
-	snap.Cache = CacheStat{
-		Enabled:  s.cache != nil,
-		Entries:  s.cache.Len(),
-		Capacity: s.cache.Capacity(),
-		Hits:     hits,
-		Misses:   misses,
+	if s.cache != nil {
+		snap.Cache.Hits, snap.Cache.Misses = s.mCacheHits.Value(), s.mCacheMisses.Value()
 	}
 	s.mu.Lock()
 	for _, b := range s.backends {
-		snap.QueueDepth += b.Depth()
 		bs := BackendStat{
 			Name: b.Name(), Depth: b.Depth(), Capacity: b.Capacity(), Workers: b.Workers(),
 		}
+		snap.QueueDepth += bs.Depth
+		snap.QueueCapacity += bs.Capacity
+		snap.Workers += bs.Workers
 		if rb, ok := b.(*Remote); ok {
 			bs.Addr = rb.Addr()
 			bs.Circuit = rb.CircuitState()
-			bs.HeartbeatRTTms = float64(rb.LastRTT()) / float64(time.Millisecond)
-			bs.DispatchFailures = rb.DispatchFailures()
+			bs.HeartbeatRTTms = rb.rtt.Value() * 1e3
+			bs.DispatchFailures = rb.fails.Value()
 		}
 		snap.Backends = append(snap.Backends, bs)
 	}
@@ -1047,19 +1036,20 @@ func (s *Scheduler) Stats() StatsSnapshot {
 		snap.JobCounts[st]++
 	}
 	s.mu.Unlock()
+	snap.Utilization, snap.FlowLatency = s.stats.snapshot(snap.Workers)
 	return snap
 }
 
 // Resilience returns the degraded/retries/panics counters (test seam).
 func (s *Scheduler) Resilience() (degraded, retries, panics int64) {
-	return s.stats.resilience()
+	return s.mDegraded.Value(), s.mRetries.Value(), s.mPanics.Value()
 }
 
 // WriteProm renders the scheduler's private metric registry in Prometheus
 // text exposition format, refreshing the inflight gauge first. The caller
 // (transport) appends obs.Default for the process-wide series.
 func (s *Scheduler) WriteProm(w io.Writer) error {
-	_, _, inflight := s.stats.inflight()
+	_, _, inflight := s.lifecycle()
 	s.mInflight.Set(float64(inflight))
 	return s.reg.WriteProm(w)
 }

@@ -94,8 +94,11 @@ func TestCacheHitBitIdentical(t *testing.T) {
 						id, coldOut.Placements[id], warmOut.Placements[id])
 				}
 			}
-			if hits, misses := s.Cache().Stats(); hits != 1 || misses != 1 {
-				t.Errorf("cache stats = %d hits / %d misses, want 1/1", hits, misses)
+			if c := s.Stats().Cache; c.Hits != 1 || c.Misses != 1 {
+				t.Errorf("cache stats = %d hits / %d misses, want 1/1", c.Hits, c.Misses)
+			}
+			if h, m := s.mCacheHits.Value(), s.mCacheMisses.Value(); h != 1 || m != 1 {
+				t.Errorf("mth_cache series = %d hits / %d misses, want 1/1", h, m)
 			}
 			// The warm job never reached a worker: started counts only the
 			// cold solve.

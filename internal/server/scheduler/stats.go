@@ -54,97 +54,31 @@ type FlowLatency struct {
 	P99ms float64 `json:"p99_ms"`
 }
 
-// stats aggregates the scheduler's observability counters. All methods are
-// safe for concurrent use.
+// stats keeps the two service measurements the scheduler's registry has no
+// series for: per-flow completion latencies and the accumulated busy time
+// of finished jobs. Every counter lives in the registry instead. All
+// methods are safe for concurrent use.
 type stats struct {
-	start   time.Time
-	workers int
+	start time.Time
 
 	mu        sync.Mutex
-	started   int64         // jobs ever started (monotonic)
-	finished  int64         // jobs ever finished (monotonic)
 	busyNanos time.Duration // accumulated busy time of finished jobs
 	perFlow   map[flow.ID]*latencyRing
-	degraded  int64 // jobs that settled below the ILP-optimum rung
-	retries   int64 // transient-failure re-executions
-	panics    int64 // panics recovered at the worker boundary
-	reroutes  int64 // jobs moved to another lane after dispatch failure
-	leaseExp  int64 // remote leases that expired without a result
 }
 
-func newStats(workers int) *stats {
-	return &stats{start: time.Now(), workers: workers, perFlow: map[flow.ID]*latencyRing{}}
+func newStats() *stats {
+	return &stats{start: time.Now(), perFlow: map[flow.ID]*latencyRing{}}
 }
 
-func (s *stats) jobStarted() {
+// addBusy credits a finished job's run time to the worker pool.
+func (s *stats) addBusy(d time.Duration) {
 	s.mu.Lock()
-	s.started++
-	s.mu.Unlock()
-}
-
-func (s *stats) jobFinished(busyFor time.Duration) {
-	s.mu.Lock()
-	s.finished++
-	s.busyNanos += busyFor
+	s.busyNanos += d
 	s.mu.Unlock()
 }
 
 // uptime is the wall clock since scheduler start.
 func (s *stats) uptime() time.Duration { return time.Since(s.start) }
-
-// inflight derives the jobs-in-flight gauge from the two monotonic
-// start/finish counters, so it can never go negative or drift: the gauge is
-// a difference of monotones, not an up/down counter that a missed decrement
-// could corrupt.
-func (s *stats) inflight() (started, finished, inflight int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.started, s.finished, s.started - s.finished
-}
-
-func (s *stats) jobDegraded() {
-	s.mu.Lock()
-	s.degraded++
-	s.mu.Unlock()
-}
-
-func (s *stats) jobRetried() {
-	s.mu.Lock()
-	s.retries++
-	s.mu.Unlock()
-}
-
-func (s *stats) jobPanicked() {
-	s.mu.Lock()
-	s.panics++
-	s.mu.Unlock()
-}
-
-func (s *stats) jobRerouted() {
-	s.mu.Lock()
-	s.reroutes++
-	s.mu.Unlock()
-}
-
-func (s *stats) leaseExpired() {
-	s.mu.Lock()
-	s.leaseExp++
-	s.mu.Unlock()
-}
-
-// resilience returns the degradation/retry/panic counters.
-func (s *stats) resilience() (degraded, retries, panics int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.degraded, s.retries, s.panics
-}
-
-// faults returns the remote-dispatch failure counters.
-func (s *stats) faults() (reroutes, leaseExp int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reroutes, s.leaseExp
-}
 
 func (s *stats) recordFlow(id flow.ID, d time.Duration) {
 	s.mu.Lock()
@@ -157,25 +91,15 @@ func (s *stats) recordFlow(id flow.ID, d time.Duration) {
 	s.mu.Unlock()
 }
 
-// snapshot renders the counters. Utilization is the busy-time fraction of
-// the worker pool since start; jobs still in flight contribute their elapsed
-// time so a long solve shows up immediately.
-func (s *stats) snapshot() (busyWorkers int, utilization float64, perFlow map[string]FlowLatency) {
+// snapshot renders the latency percentiles and the busy-time fraction of
+// a pool of workers since start. In-flight jobs are credited on
+// completion only.
+func (s *stats) snapshot(workers int) (utilization float64, perFlow map[string]FlowLatency) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	elapsed := time.Since(s.start)
-	capacity := elapsed * time.Duration(s.workers)
-	busyTime := s.busyNanos
-	// Approximation for in-flight work: each busy worker has been busy at
-	// most `elapsed`; counting from its job start would need per-job state
-	// here, so in-flight jobs are credited on completion only — except the
-	// busy count itself, reported live.
-	util := 0.0
+	capacity := time.Since(s.start) * time.Duration(workers)
 	if capacity > 0 {
-		util = float64(busyTime) / float64(capacity)
-		if util > 1 {
-			util = 1
-		}
+		utilization = min(float64(s.busyNanos)/float64(capacity), 1)
 	}
 	out := make(map[string]FlowLatency, len(s.perFlow))
 	for id, r := range s.perFlow {
@@ -188,5 +112,5 @@ func (s *stats) snapshot() (busyWorkers int, utilization float64, perFlow map[st
 			P99ms: float64(r.percentile(sorted, 99)) / float64(time.Millisecond),
 		}
 	}
-	return int(s.started - s.finished), util, out
+	return utilization, out
 }

@@ -1,21 +1,23 @@
 package scheduler
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
 
+	"mthplace/internal/errs"
 	"mthplace/internal/flow"
 )
 
 // TestStatsPercentiles: known latency samples produce the documented
 // nearest-rank percentiles, monotone p50 ≤ p90 ≤ p99.
 func TestStatsPercentiles(t *testing.T) {
-	st := newStats(2)
+	st := newStats()
 	for i := 1; i <= 100; i++ {
 		st.recordFlow(flow.Flow5, time.Duration(i)*time.Millisecond)
 	}
-	_, _, perFlow := st.snapshot()
+	_, perFlow := st.snapshot(1)
 	fl, ok := perFlow[flow.Flow5.String()]
 	if !ok {
 		t.Fatalf("no latency entry for %v: %v", flow.Flow5, perFlow)
@@ -35,7 +37,7 @@ func TestStatsPercentiles(t *testing.T) {
 // but keeps counting, so Count reflects lifetime completions while the
 // percentiles reflect recent behaviour.
 func TestStatsRingBound(t *testing.T) {
-	st := newStats(1)
+	st := newStats()
 	// Old slow samples that should age out entirely...
 	for i := 0; i < maxLatencySamples; i++ {
 		st.recordFlow(flow.Flow2, time.Hour)
@@ -44,7 +46,7 @@ func TestStatsRingBound(t *testing.T) {
 	for i := 0; i < maxLatencySamples; i++ {
 		st.recordFlow(flow.Flow2, time.Millisecond)
 	}
-	_, _, perFlow := st.snapshot()
+	_, perFlow := st.snapshot(1)
 	fl := perFlow[flow.Flow2.String()]
 	if fl.Count != 2*maxLatencySamples {
 		t.Errorf("Count = %d, want %d", fl.Count, 2*maxLatencySamples)
@@ -57,7 +59,7 @@ func TestStatsRingBound(t *testing.T) {
 // TestLatencyRingConcurrentLoad hammers the per-flow latency ring from many
 // goroutines while stats snapshots run, checking totals and bounds hold.
 func TestLatencyRingConcurrentLoad(t *testing.T) {
-	s := newStats(4)
+	s := newStats()
 	const (
 		writers = 8
 		perW    = 400 // 3200 total: far past maxLatencySamples
@@ -72,8 +74,7 @@ func TestLatencyRingConcurrentLoad(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				s.snapshot()
-				s.inflight()
+				s.snapshot(writers)
 				// Yield so the writers make progress on small hosts: the
 				// point is interleaving, not starvation.
 				time.Sleep(100 * time.Microsecond)
@@ -85,9 +86,8 @@ func TestLatencyRingConcurrentLoad(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
-				s.jobStarted()
 				s.recordFlow(flow.Flow5, time.Duration(w*perW+i)*time.Microsecond)
-				s.jobFinished(time.Microsecond)
+				s.addBusy(time.Microsecond)
 			}
 		}(w)
 	}
@@ -95,12 +95,13 @@ func TestLatencyRingConcurrentLoad(t *testing.T) {
 	close(stop)
 	<-readerDone
 
-	started, finished, inflight := s.inflight()
-	if started != writers*perW || finished != writers*perW || inflight != 0 {
-		t.Errorf("started/finished/inflight = %d/%d/%d, want %d/%d/0",
-			started, finished, inflight, writers*perW, writers*perW)
+	if want := writers * perW * time.Microsecond; s.busyNanos != want {
+		t.Errorf("busy time = %v, want %v", s.busyNanos, want)
 	}
-	_, _, perFlow := s.snapshot()
+	util, perFlow := s.snapshot(writers)
+	if util < 0 || util > 1 {
+		t.Errorf("utilization %v out of [0,1]", util)
+	}
 	lat := perFlow[flow.Flow5.String()]
 	if lat.Count != writers*perW {
 		t.Errorf("ring total = %d, want %d", lat.Count, writers*perW)
@@ -109,5 +110,61 @@ func TestLatencyRingConcurrentLoad(t *testing.T) {
 	// ordered.
 	if !(lat.P50ms <= lat.P90ms && lat.P90ms <= lat.P99ms) {
 		t.Errorf("percentiles out of order: %+v", lat)
+	}
+}
+
+// TestStatsCapacitySumsLanes: queue_capacity and workers are sums over the
+// lanes, like queue_depth. share() gives every lane at least one queue slot
+// and one worker, so with more lanes than the configured totals the
+// configured numbers under-report, and a full fabric showed a depth above
+// its capacity and more busy workers than workers.
+func TestStatsCapacitySumsLanes(t *testing.T) {
+	s := newSched(t, Options{Workers: 1, QueueDepth: 1, Backends: 2})
+	release := make(chan struct{})
+	defer close(release)
+	s.SetExec(func(ctx context.Context, jb *Job) (*ExecResult, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return nil, errs.FromContext(ctx)
+	})
+	// Fill both lanes: one running and one queued job each.
+	perLane := make([]int, 2)
+	for seed := int64(1); perLane[0] < 2 || perLane[1] < 2; seed++ {
+		if seed > 200 {
+			t.Fatalf("seeds 1..200 did not fill both lanes: %v", perLane)
+		}
+		req := JobRequest{Testcase: "aes_300", Scale: 0.02, Seed: seed, Solver: "greedy"}
+		lane := s.ring.pick(routingKey(s.instanceKeys(&req)))
+		if perLane[lane] == 2 {
+			continue
+		}
+		jb, err := s.Submit(req)
+		if err != nil {
+			t.Fatalf("lane %d seed %d: %v", lane, seed, err)
+		}
+		if perLane[lane] == 0 {
+			for st, _ := jb.Snapshot(); st != StateRunning; st, _ = jb.Snapshot() {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		perLane[lane]++
+	}
+	snap := s.Stats()
+	var capacity, workers int
+	for _, b := range snap.Backends {
+		capacity += b.Capacity
+		workers += b.Workers
+	}
+	if snap.QueueCapacity != capacity || snap.Workers != workers {
+		t.Errorf("queue_capacity/workers = %d/%d, lanes sum to %d/%d",
+			snap.QueueCapacity, snap.Workers, capacity, workers)
+	}
+	if snap.QueueDepth != 2 || snap.QueueDepth > snap.QueueCapacity {
+		t.Errorf("queue_depth %d of queue_capacity %d, want 2 within capacity", snap.QueueDepth, snap.QueueCapacity)
+	}
+	if snap.BusyWorkers != 2 || snap.BusyWorkers > snap.Workers {
+		t.Errorf("busy_workers %d of workers %d, want 2 within workers", snap.BusyWorkers, snap.Workers)
 	}
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"mthplace/internal/flow"
 )
@@ -32,12 +31,6 @@ type Cache struct {
 	cap int
 	ll  *list.List // front = most recently used
 	idx map[Key]*list.Element
-
-	hits   atomic.Int64
-	misses atomic.Int64
-	// onHit/onMiss, when set, fire outside any hot loop once per lookup —
-	// the seam where the server wires mth_cache_hits_total.
-	onHit, onMiss func()
 }
 
 // cacheItem is the list payload.
@@ -55,18 +48,7 @@ func NewCache(capacity int) *Cache {
 	return &Cache{cap: capacity, ll: list.New(), idx: make(map[Key]*list.Element)}
 }
 
-// SetHooks installs the observers fired once per counted lookup (GetAll or
-// Get). Either may be nil.
-func (c *Cache) SetHooks(onHit, onMiss func()) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.onHit, c.onMiss = onHit, onMiss
-	c.mu.Unlock()
-}
-
-// Get looks up one key, counting a hit or a miss.
+// Get looks up one key.
 func (c *Cache) Get(k Key) (Entry, bool) {
 	if c == nil {
 		return Entry{}, false
@@ -79,36 +61,25 @@ func (c *Cache) Get(k Key) (Entry, bool) {
 }
 
 // GetAll is the all-or-nothing job lookup: it returns the entries for every
-// key, in order, or ok=false if any is absent. One hit or one miss is
-// counted per call — the counters measure job-level cache effectiveness,
-// not per-flow probes. A full hit refreshes every entry's recency.
+// key, in order, or ok=false if any is absent. A full hit refreshes every
+// entry's recency. The cache keeps no counters: callers count job-level
+// hits and misses in their own metric registry.
 func (c *Cache) GetAll(keys []Key) ([]Entry, bool) {
 	if c == nil || len(keys) == 0 {
 		return nil, false
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	out := make([]Entry, len(keys))
 	for i, k := range keys {
 		el, ok := c.idx[k]
 		if !ok {
-			onMiss := c.onMiss
-			c.mu.Unlock()
-			c.misses.Add(1)
-			if onMiss != nil {
-				onMiss()
-			}
 			return nil, false
 		}
 		out[i] = el.Value.(*cacheItem).e
 	}
 	for _, k := range keys {
 		c.ll.MoveToFront(c.idx[k])
-	}
-	onHit := c.onHit
-	c.mu.Unlock()
-	c.hits.Add(1)
-	if onHit != nil {
-		onHit()
 	}
 	return out, true
 }
@@ -152,10 +123,3 @@ func (c *Cache) Capacity() int {
 	return c.cap
 }
 
-// Stats returns the lifetime hit/miss counters.
-func (c *Cache) Stats() (hits, misses int64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.hits.Load(), c.misses.Load()
-}

@@ -17,11 +17,12 @@ func testEntry(i int) Entry {
 	return Entry{Metrics: flow.Metrics{Flow: flow.Flow5, HPWL: int64(i)}, Placement: fmt.Sprintf("digest-%d", i)}
 }
 
+// TestCacheHitMissCounters: a lookup misses on an empty cache and hits
+// after Put. The cache reports the outcome and counts nothing; the
+// scheduler counts job-level hits and misses in its metric registry
+// (TestCacheHitBitIdentical checks those series).
 func TestCacheHitMissCounters(t *testing.T) {
 	c := NewCache(4)
-	var hits, misses int
-	c.SetHooks(func() { hits++ }, func() { misses++ })
-
 	if _, ok := c.Get(testKey(1)); ok {
 		t.Fatal("empty cache reported a hit")
 	}
@@ -30,16 +31,10 @@ func TestCacheHitMissCounters(t *testing.T) {
 	if !ok || e.Metrics.HPWL != 1 || e.Placement != "digest-1" {
 		t.Fatalf("Get after Put = %+v, %v", e, ok)
 	}
-	if h, m := c.Stats(); h != 1 || m != 1 {
-		t.Errorf("stats = %d/%d, want 1 hit / 1 miss", h, m)
-	}
-	if hits != 1 || misses != 1 {
-		t.Errorf("hooks fired %d/%d, want 1/1", hits, misses)
-	}
 }
 
 // TestCacheGetAllAllOrNothing: a job-level lookup hits only when every flow
-// key is resident, and counts exactly one hit or miss per call.
+// key is resident.
 func TestCacheGetAllAllOrNothing(t *testing.T) {
 	c := NewCache(8)
 	c.Put(testKey(1), testEntry(1))
@@ -54,9 +49,6 @@ func TestCacheGetAllAllOrNothing(t *testing.T) {
 	}
 	if es[0].Metrics.HPWL != 1 || es[1].Metrics.HPWL != 2 {
 		t.Fatalf("entries out of order: %+v", es)
-	}
-	if h, m := c.Stats(); h != 1 || m != 1 {
-		t.Errorf("stats = %d/%d, want 1/1 (one counted lookup per GetAll)", h, m)
 	}
 }
 
@@ -89,7 +81,6 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheNilSafe(t *testing.T) {
 	var c *Cache
 	c.Put(testKey(1), testEntry(1))
-	c.SetHooks(func() {}, func() {})
 	if _, ok := c.Get(testKey(1)); ok {
 		t.Error("nil cache hit")
 	}
@@ -99,16 +90,13 @@ func TestCacheNilSafe(t *testing.T) {
 	if c.Len() != 0 || c.Capacity() != 0 {
 		t.Error("nil cache reports size")
 	}
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Error("nil cache reports stats")
-	}
 	if NewCache(0) != nil {
 		t.Error("NewCache(0) must disable caching")
 	}
 }
 
 // TestCacheConcurrent hammers Put/Get/GetAll from many goroutines; the race
-// detector is the assertion, plus counter conservation.
+// detector is the assertion, plus the capacity bound.
 func TestCacheConcurrent(t *testing.T) {
 	c := NewCache(16)
 	var wg sync.WaitGroup
@@ -131,10 +119,6 @@ func TestCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Len() > 16 {
 		t.Errorf("Len %d exceeds capacity", c.Len())
-	}
-	h, m := c.Stats()
-	if h+m == 0 {
-		t.Error("no lookups counted")
 	}
 }
 

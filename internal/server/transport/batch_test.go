@@ -1,17 +1,19 @@
-package server
+package transport_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"net/http"
 	"testing"
+
+	"mthplace/internal/server/scheduler"
 )
 
 // TestV1Aliases: every pre-versioning path answers identically under /v1/.
 func TestV1Aliases(t *testing.T) {
-	h := newHarness(t, Options{Workers: 1, QueueDepth: 4})
-	id := h.submit(JobRequest{Testcase: "aes_300", Scale: 0.02, Flows: []int{5}})
-	h.waitState(id, StateDone)
+	h := newHarness(t, scheduler.Options{Workers: 1, QueueDepth: 4})
+	id := h.submit(scheduler.JobRequest{Testcase: "aes_300", Scale: 0.02, Flows: []int{5}})
+	h.waitState(id, scheduler.StateDone)
 
 	for _, path := range []string{"/jobs", "/v1/jobs", "/jobs/" + id, "/v1/jobs/" + id,
 		"/jobs/" + id + "/result", "/v1/jobs/" + id + "/result"} {
@@ -19,7 +21,7 @@ func TestV1Aliases(t *testing.T) {
 			t.Errorf("GET %s: status %d, want 200", path, code)
 		}
 	}
-	if code, _ := h.do("POST", "/v1/jobs", JobRequest{Testcase: "aes_300", Scale: 0.02}); code != http.StatusAccepted {
+	if code, _ := h.do("POST", "/v1/jobs", scheduler.JobRequest{Testcase: "aes_300", Scale: 0.02}); code != http.StatusAccepted {
 		t.Errorf("POST /v1/jobs: status %d, want 202", code)
 	}
 }
@@ -28,13 +30,13 @@ func TestV1Aliases(t *testing.T) {
 // HTTP: a cold solve populates the cache, then a batch of two identical
 // instances is answered entirely from it, with /stats reporting the hits.
 func TestBatchEndpointWithCache(t *testing.T) {
-	h := newHarness(t, Options{Workers: 2, QueueDepth: 8, CacheEntries: 32, DefaultSolver: "greedy"})
-	req := JobRequest{Testcase: "aes_300", Scale: 0.02, Flows: []int{5}}
+	h := newHarness(t, scheduler.Options{Workers: 2, QueueDepth: 8, CacheEntries: 32, DefaultSolver: "greedy"})
+	req := scheduler.JobRequest{Testcase: "aes_300", Scale: 0.02, Flows: []int{5}}
 
 	cold := h.submit(req)
-	h.waitState(cold, StateDone)
+	h.waitState(cold, scheduler.StateDone)
 
-	code, body := h.do("POST", "/v1/jobs:batch", map[string]any{"jobs": []JobRequest{req, req}})
+	code, body := h.do("POST", "/v1/jobs:batch", map[string]any{"jobs": []scheduler.JobRequest{req, req}})
 	if code != http.StatusAccepted {
 		t.Fatalf("batch: status %d, body %v", code, body)
 	}
@@ -43,7 +45,7 @@ func TestBatchEndpointWithCache(t *testing.T) {
 		t.Fatalf("accepted = %d (%v), want 2", accepted, err)
 	}
 	var slots []struct {
-		Job *JobView `json:"job"`
+		Job *scheduler.JobView `json:"job"`
 	}
 	if err := json.Unmarshal(body["jobs"], &slots); err != nil {
 		t.Fatal(err)
@@ -52,7 +54,7 @@ func TestBatchEndpointWithCache(t *testing.T) {
 		if slot.Job == nil {
 			t.Fatalf("slot %d carries no job", i)
 		}
-		if !slot.Job.CacheHit || slot.Job.State != StateDone {
+		if !slot.Job.CacheHit || slot.Job.State != scheduler.StateDone {
 			t.Errorf("slot %d: state %q cache_hit %v, want done from cache",
 				i, slot.Job.State, slot.Job.CacheHit)
 		}
@@ -98,11 +100,11 @@ func TestBatchEndpointWithCache(t *testing.T) {
 // TestCacheControlHeader: the standard Cache-Control request header maps
 // onto the job's cache directive.
 func TestCacheControlHeader(t *testing.T) {
-	h := newHarness(t, Options{Workers: 1, QueueDepth: 4, CacheEntries: 16, DefaultSolver: "greedy"})
-	req := JobRequest{Testcase: "aes_300", Scale: 0.02, Flows: []int{5}}
+	h := newHarness(t, scheduler.Options{Workers: 1, QueueDepth: 4, CacheEntries: 16, DefaultSolver: "greedy"})
+	req := scheduler.JobRequest{Testcase: "aes_300", Scale: 0.02, Flows: []int{5}}
 
 	id := h.submit(req)
-	h.waitState(id, StateDone)
+	h.waitState(id, scheduler.StateDone)
 
 	// no-cache forces a fresh solve even though the entry is resident.
 	var buf bytes.Buffer

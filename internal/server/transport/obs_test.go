@@ -1,20 +1,13 @@
-package server
+package transport_test
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
-	"mthplace/internal/journal"
-	"mthplace/internal/obs"
+	"mthplace/internal/server/scheduler"
 )
 
 // scrape fetches /metrics and returns the exposition body.
@@ -42,7 +35,7 @@ func (h *testHarness) scrape() string {
 // lifecycle series before any job, and the canonical flow series after a
 // real placement ran.
 func TestMetricsEndpoint(t *testing.T) {
-	h := newHarness(t, Options{Workers: 1, QueueDepth: 4})
+	h := newHarness(t, scheduler.Options{Workers: 1, QueueDepth: 4})
 
 	out := h.scrape()
 	for _, series := range []string{
@@ -55,8 +48,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	id := h.submit(JobRequest{Testcase: "aes_300", Scale: 0.02, Flows: []int{5}})
-	h.waitState(id, StateDone)
+	id := h.submit(scheduler.JobRequest{Testcase: "aes_300", Scale: 0.02, Flows: []int{5}})
+	h.waitState(id, scheduler.StateDone)
 
 	out = h.scrape()
 	if !strings.Contains(out, "jobs_started_total 1") || !strings.Contains(out, "jobs_finished_total 1") {
@@ -74,11 +67,11 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestMetricsPerServerIsolation: two servers in one process must not share
 // job-lifecycle counters.
 func TestMetricsPerServerIsolation(t *testing.T) {
-	a := newHarness(t, Options{Workers: 1, QueueDepth: 4})
-	b := newHarness(t, Options{Workers: 1, QueueDepth: 4})
+	a := newHarness(t, scheduler.Options{Workers: 1, QueueDepth: 4})
+	b := newHarness(t, scheduler.Options{Workers: 1, QueueDepth: 4})
 
-	id := a.submit(JobRequest{Testcase: "aes_300", Scale: 0.02})
-	a.waitState(id, StateDone)
+	id := a.submit(scheduler.JobRequest{Testcase: "aes_300", Scale: 0.02})
+	a.waitState(id, scheduler.StateDone)
 
 	if out := a.scrape(); !strings.Contains(out, "jobs_finished_total 1") {
 		t.Errorf("server A finished counter:\n%s", out)
@@ -91,12 +84,12 @@ func TestMetricsPerServerIsolation(t *testing.T) {
 // TestStatsUptimeAndInflight covers the /stats additions: uptime_seconds
 // grows, and jobs_inflight is the started-minus-finished difference.
 func TestStatsUptimeAndInflight(t *testing.T) {
-	h := newHarness(t, Options{Workers: 1, QueueDepth: 4})
+	h := newHarness(t, scheduler.Options{Workers: 1, QueueDepth: 4})
 	release := make(chan struct{})
-	h.srv.setExec(blockingExec(release))
+	h.setExec(blockingExec(release))
 
-	id := h.submit(JobRequest{Testcase: "aes_300"})
-	h.waitState(id, StateRunning)
+	id := h.submit(scheduler.JobRequest{Testcase: "aes_300"})
+	h.waitState(id, scheduler.StateRunning)
 
 	_, body := h.do("GET", "/stats", nil)
 	var uptime float64
@@ -119,7 +112,7 @@ func TestStatsUptimeAndInflight(t *testing.T) {
 	}
 
 	close(release)
-	h.waitState(id, StateDone)
+	h.waitState(id, scheduler.StateDone)
 	_, body = h.do("GET", "/stats", nil)
 	if err := json.Unmarshal(body["jobs_inflight"], &inflight); err != nil {
 		t.Fatal(err)
@@ -132,15 +125,15 @@ func TestStatsUptimeAndInflight(t *testing.T) {
 // TestJobViewProgress: a completed ILP job's view must expose the solver
 // progress snapshot fed by the observability event stream.
 func TestJobViewProgress(t *testing.T) {
-	h := newHarness(t, Options{Workers: 1, QueueDepth: 4})
-	id := h.submit(JobRequest{Testcase: "aes_300", Scale: 0.02, Flows: []int{5}})
-	h.waitState(id, StateDone)
+	h := newHarness(t, scheduler.Options{Workers: 1, QueueDepth: 4})
+	id := h.submit(scheduler.JobRequest{Testcase: "aes_300", Scale: 0.02, Flows: []int{5}})
+	h.waitState(id, scheduler.StateDone)
 
 	_, body := h.do("GET", "/jobs/"+id, nil)
 	if body["progress"] == nil {
 		t.Fatalf("job view has no progress field: %v", body)
 	}
-	var p JobProgress
+	var p scheduler.JobProgress
 	if err := json.Unmarshal(body["progress"], &p); err != nil {
 		t.Fatal(err)
 	}
@@ -156,95 +149,4 @@ func TestJobViewProgress(t *testing.T) {
 	if p.Incumbents == 0 {
 		t.Error("progress recorded no solver incumbents")
 	}
-}
-
-// TestReplayLogging: journal replay must be narrated through the
-// configured logger — re-queued jobs, corrupt-line warnings, and
-// validation failures of replayed requests.
-func TestReplayLogging(t *testing.T) {
-	// Forge a crash artifact: one replayable job, one job whose recorded
-	// request no longer validates, and one corrupt line.
-	dir := t.TempDir()
-	j, err := journal.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, _ := json.Marshal(JobRequest{Testcase: "aes_300", Flows: []int{4}, Scale: 0.02})
-	bad, _ := json.Marshal(JobRequest{Testcase: "no_such_testcase"})
-	if err := j.Append(journal.Entry{Seq: 1, Job: "job-1", Event: journal.EventSubmitted, Request: good}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(journal.Entry{Seq: 2, Job: "job-2", Event: journal.EventSubmitted, Request: bad}); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	f, err := os.OpenFile(filepath.Join(dir, journal.FileName), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("{not json\n"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	lw := &lockedWriter{w: &buf, mu: &mu}
-	s, err := New(Options{Workers: 1, QueueDepth: 4, JournalDir: dir,
-		Logger: obs.NewCLILogger(lw, false, false)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	}()
-
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		jb := s.job("job-1")
-		if jb == nil {
-			t.Fatal("job-1 not replayed")
-		}
-		st, _ := jb.Snapshot()
-		if st.Terminal() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replayed job stuck in %q", st)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if jb := s.job("job-2"); jb == nil {
-		t.Error("invalid replayed job not registered")
-	} else if st, _ := jb.Snapshot(); st != StateFailed {
-		t.Errorf("invalid replayed job state %q, want failed", st)
-	}
-
-	mu.Lock()
-	out := buf.String()
-	mu.Unlock()
-	for _, want := range []string{
-		"skipped unparseable lines",
-		"replaying unfinished jobs",
-		"re-queued job", "job-1",
-		"failed validation", "job-2",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("replay log missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// lockedWriter serialises concurrent log writes into one buffer.
-type lockedWriter struct {
-	w  io.Writer
-	mu *sync.Mutex
-}
-
-func (l *lockedWriter) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w.Write(p)
 }

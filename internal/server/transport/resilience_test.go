@@ -1,4 +1,4 @@
-package server
+package transport_test
 
 import (
 	"context"
@@ -14,19 +14,20 @@ import (
 	"mthplace/internal/errs"
 	"mthplace/internal/flow"
 	"mthplace/internal/journal"
+	"mthplace/internal/server/scheduler"
 )
 
 // TestJobPanicBecomesFailed500: a panic anywhere under a job is converted
 // to a typed error — the job fails with a 500, the daemon keeps serving,
 // and no worker goroutine is lost.
 func TestJobPanicBecomesFailed500(t *testing.T) {
-	h := newHarness(t, Options{Workers: 1})
-	h.srv.setExec(func(ctx context.Context, jb *Job) (map[flow.ID]flow.Metrics, error) {
+	h := newHarness(t, scheduler.Options{Workers: 1})
+	h.setExec(func(ctx context.Context, jb *scheduler.Job) (map[flow.ID]flow.Metrics, error) {
 		panic("solver ate a null pointer")
 	})
 
-	id := h.submit(JobRequest{Testcase: "aes_300"})
-	if st := h.waitState(id, ""); st != StateFailed {
+	id := h.submit(scheduler.JobRequest{Testcase: "aes_300"})
+	if st := h.waitState(id, ""); st != scheduler.StateFailed {
 		t.Fatalf("panicked job finished %q, want failed", st)
 	}
 	code, body := h.do("GET", "/jobs/"+id+"/result", nil)
@@ -44,7 +45,7 @@ func TestJobPanicBecomesFailed500(t *testing.T) {
 	// per panicked job — that's the worker-goroutine leak check.
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		if st := h.waitState(h.submit(JobRequest{Testcase: "aes_300"}), ""); st != StateFailed {
+		if st := h.waitState(h.submit(scheduler.JobRequest{Testcase: "aes_300"}), ""); st != scheduler.StateFailed {
 			t.Fatalf("panicked job %d finished %q, want failed", i, st)
 		}
 	}
@@ -57,14 +58,14 @@ func TestJobPanicBecomesFailed500(t *testing.T) {
 	}
 
 	// The worker survived: a healthy job on the same (sole) worker runs.
-	h.srv.setExec(func(ctx context.Context, jb *Job) (map[flow.ID]flow.Metrics, error) {
+	h.setExec(func(ctx context.Context, jb *scheduler.Job) (map[flow.ID]flow.Metrics, error) {
 		return map[flow.ID]flow.Metrics{flow.Flow5: {}}, nil
 	})
-	if st := h.waitState(h.submit(JobRequest{Testcase: "aes_300"}), ""); st != StateDone {
+	if st := h.waitState(h.submit(scheduler.JobRequest{Testcase: "aes_300"}), ""); st != scheduler.StateDone {
 		t.Fatalf("job after panic finished %q, want done", st)
 	}
 
-	_, _, panics := h.srv.resilience()
+	_, _, panics := h.sched.Resilience()
 	if panics != 6 {
 		t.Errorf("stats panics = %d, want 6", panics)
 	}
@@ -74,17 +75,17 @@ func TestJobPanicBecomesFailed500(t *testing.T) {
 // the attempt count and retry counter are visible, and success on a later
 // attempt yields a normal done job.
 func TestTransientFailureIsRetried(t *testing.T) {
-	h := newHarness(t, Options{Workers: 1, MaxRetries: 3, RetryBase: time.Millisecond})
+	h := newHarness(t, scheduler.Options{Workers: 1, MaxRetries: 3, RetryBase: time.Millisecond})
 	var calls atomic.Int64
-	h.srv.setExec(func(ctx context.Context, jb *Job) (map[flow.ID]flow.Metrics, error) {
+	h.setExec(func(ctx context.Context, jb *scheduler.Job) (map[flow.ID]flow.Metrics, error) {
 		if calls.Add(1) <= 2 {
 			return nil, errs.Transient("flaky dependency")
 		}
 		return map[flow.ID]flow.Metrics{flow.Flow5: {}}, nil
 	})
 
-	id := h.submit(JobRequest{Testcase: "aes_300"})
-	if st := h.waitState(id, ""); st != StateDone {
+	id := h.submit(scheduler.JobRequest{Testcase: "aes_300"})
+	if st := h.waitState(id, ""); st != scheduler.StateDone {
 		t.Fatalf("job finished %q, want done after retries", st)
 	}
 	_, body := h.do("GET", "/jobs/"+id, nil)
@@ -93,7 +94,7 @@ func TestTransientFailureIsRetried(t *testing.T) {
 	if attempts != 3 {
 		t.Errorf("attempts = %d, want 3 (2 transient failures + success)", attempts)
 	}
-	if _, retries, _ := h.srv.resilience(); retries != 2 {
+	if _, retries, _ := h.sched.Resilience(); retries != 2 {
 		t.Errorf("stats retries = %d, want 2", retries)
 	}
 }
@@ -101,14 +102,14 @@ func TestTransientFailureIsRetried(t *testing.T) {
 // TestRetryBudgetExhausts: a persistently transient failure stops after
 // MaxRetries and surfaces the final error.
 func TestRetryBudgetExhausts(t *testing.T) {
-	h := newHarness(t, Options{Workers: 1, MaxRetries: 2, RetryBase: time.Millisecond})
+	h := newHarness(t, scheduler.Options{Workers: 1, MaxRetries: 2, RetryBase: time.Millisecond})
 	var calls atomic.Int64
-	h.srv.setExec(func(ctx context.Context, jb *Job) (map[flow.ID]flow.Metrics, error) {
+	h.setExec(func(ctx context.Context, jb *scheduler.Job) (map[flow.ID]flow.Metrics, error) {
 		calls.Add(1)
 		return nil, errs.Transient("still down")
 	})
-	id := h.submit(JobRequest{Testcase: "aes_300"})
-	if st := h.waitState(id, ""); st != StateFailed {
+	id := h.submit(scheduler.JobRequest{Testcase: "aes_300"})
+	if st := h.waitState(id, ""); st != scheduler.StateFailed {
 		t.Fatalf("job finished %q, want failed", st)
 	}
 	if got := calls.Load(); got != 3 {
@@ -127,14 +128,14 @@ func TestNonTransientNotRetried(t *testing.T) {
 		{"infeasible", func() error { return errs.Infeasible("no row fits") }},
 		{"panicked transient", func() error { panic(errs.Transient("wrapped in a panic")) }},
 	} {
-		h := newHarness(t, Options{Workers: 1, MaxRetries: 3, RetryBase: time.Millisecond})
+		h := newHarness(t, scheduler.Options{Workers: 1, MaxRetries: 3, RetryBase: time.Millisecond})
 		var calls atomic.Int64
-		h.srv.setExec(func(ctx context.Context, jb *Job) (map[flow.ID]flow.Metrics, error) {
+		h.setExec(func(ctx context.Context, jb *scheduler.Job) (map[flow.ID]flow.Metrics, error) {
 			calls.Add(1)
 			return nil, tc.fn()
 		})
-		id := h.submit(JobRequest{Testcase: "aes_300"})
-		if st := h.waitState(id, ""); st != StateFailed {
+		id := h.submit(scheduler.JobRequest{Testcase: "aes_300"})
+		if st := h.waitState(id, ""); st != scheduler.StateFailed {
 			t.Fatalf("%s: job finished %q, want failed", tc.name, st)
 		}
 		if got := calls.Load(); got != 1 {
@@ -146,14 +147,14 @@ func TestNonTransientNotRetried(t *testing.T) {
 // TestDegradedJobSurfaced: a job whose solve settled below the ILP optimum
 // is flagged on the job view and counted in /stats.
 func TestDegradedJobSurfaced(t *testing.T) {
-	h := newHarness(t, Options{Workers: 1})
-	h.srv.setExec(func(ctx context.Context, jb *Job) (map[flow.ID]flow.Metrics, error) {
+	h := newHarness(t, scheduler.Options{Workers: 1})
+	h.setExec(func(ctx context.Context, jb *scheduler.Job) (map[flow.ID]flow.Metrics, error) {
 		return map[flow.ID]flow.Metrics{
 			flow.Flow5: {SolveRung: "anytime", SolveDegraded: true, SolveDegradeReason: "node-limit", SolveGap: 0.1},
 		}, nil
 	})
-	id := h.submit(JobRequest{Testcase: "aes_300"})
-	if st := h.waitState(id, ""); st != StateDone {
+	id := h.submit(scheduler.JobRequest{Testcase: "aes_300"})
+	if st := h.waitState(id, ""); st != scheduler.StateDone {
 		t.Fatalf("job finished %q, want done", st)
 	}
 	_, body := h.do("GET", "/jobs/"+id, nil)
@@ -183,7 +184,7 @@ func TestDegradedJobSurfaced(t *testing.T) {
 }
 
 // newJournalHarness builds a harness whose server journals into dir.
-func newJournalHarness(t *testing.T, dir string, opt Options) *testHarness {
+func newJournalHarness(t *testing.T, dir string, opt scheduler.Options) *testHarness {
 	t.Helper()
 	opt.JournalDir = dir
 	return newHarness(t, opt)
@@ -194,12 +195,12 @@ func newJournalHarness(t *testing.T, dir string, opt Options) *testHarness {
 // previous process died under it) makes a fresh server re-run it under
 // its original ID and produce metrics identical to an undisturbed run.
 func TestJournalReplayRunsUnfinishedJob(t *testing.T) {
-	req := JobRequest{Testcase: "aes_300", Flows: []int{4}, Scale: 0.02}
+	req := scheduler.JobRequest{Testcase: "aes_300", Flows: []int{4}, Scale: 0.02}
 
 	// Undisturbed run for the reference metrics.
-	h1 := newJournalHarness(t, t.TempDir(), Options{Workers: 1})
+	h1 := newJournalHarness(t, t.TempDir(), scheduler.Options{Workers: 1})
 	id1 := h1.submit(req)
-	if st := h1.waitState(id1, ""); st != StateDone {
+	if st := h1.waitState(id1, ""); st != scheduler.StateDone {
 		t.Fatalf("reference job finished %q", st)
 	}
 	_, body := h1.do("GET", "/jobs/"+id1+"/result", nil)
@@ -224,9 +225,9 @@ func TestJournalReplayRunsUnfinishedJob(t *testing.T) {
 	}
 	j.Close()
 
-	h2 := newJournalHarness(t, dir, Options{Workers: 1})
+	h2 := newJournalHarness(t, dir, scheduler.Options{Workers: 1})
 	st := h2.waitState("job-7", "")
-	if st != StateDone {
+	if st != scheduler.StateDone {
 		t.Fatalf("replayed job finished %q, want done", st)
 	}
 	_, body = h2.do("GET", "/jobs/job-7", nil)
@@ -249,13 +250,13 @@ func TestJournalReplayRunsUnfinishedJob(t *testing.T) {
 
 	// The sequence counter resumed past the replayed ID: new submissions
 	// cannot collide.
-	id2 := h2.submit(JobRequest{Testcase: "aes_300", Flows: []int{1}, Scale: 0.02})
+	id2 := h2.submit(scheduler.JobRequest{Testcase: "aes_300", Flows: []int{1}, Scale: 0.02})
 	if id2 != "job-8" {
 		t.Errorf("post-replay submission got ID %s, want job-8", id2)
 	}
 	// The journal now records the replayed job's completion, so a third
 	// server has nothing to do.
-	if st := h2.waitState(id2, ""); st != StateDone {
+	if st := h2.waitState(id2, ""); st != scheduler.StateDone {
 		t.Fatalf("post-replay job finished %q", st)
 	}
 	entries, _, err := journal.ReadAll(dir)
@@ -272,12 +273,12 @@ func TestJournalReplayRunsUnfinishedJob(t *testing.T) {
 // cancel, so a restart never replays finished work.
 func TestJournalRecordsLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	h := newJournalHarness(t, dir, Options{Workers: 1})
-	h.srv.setExec(func(ctx context.Context, jb *Job) (map[flow.ID]flow.Metrics, error) {
+	h := newJournalHarness(t, dir, scheduler.Options{Workers: 1})
+	h.setExec(func(ctx context.Context, jb *scheduler.Job) (map[flow.ID]flow.Metrics, error) {
 		return map[flow.ID]flow.Metrics{flow.Flow5: {}}, nil
 	})
-	id := h.submit(JobRequest{Testcase: "aes_300"})
-	if st := h.waitState(id, ""); st != StateDone {
+	id := h.submit(scheduler.JobRequest{Testcase: "aes_300"})
+	if st := h.waitState(id, ""); st != scheduler.StateDone {
 		t.Fatalf("job finished %q", st)
 	}
 	entries, skipped, err := journal.ReadAll(dir)

@@ -1,4 +1,4 @@
-package server
+package transport_test
 
 import (
 	"bytes"
@@ -13,30 +13,56 @@ import (
 
 	"mthplace/internal/errs"
 	"mthplace/internal/flow"
+	"mthplace/internal/server/scheduler"
+	"mthplace/internal/server/transport"
 	"mthplace/internal/synth"
 )
 
-// testHarness wires a Server behind an httptest front end.
+// testHarness serves a scheduler through the HTTP transport behind an
+// httptest front end.
 type testHarness struct {
-	t   *testing.T
-	srv *Server
-	web *httptest.Server
+	t     *testing.T
+	sched *scheduler.Scheduler
+	web   *httptest.Server
 }
 
-func newHarness(t *testing.T, opt Options) *testHarness {
+// newHarness starts a scheduler and its transport; both stop at cleanup.
+func newHarness(t *testing.T, opt scheduler.Options) *testHarness {
 	t.Helper()
-	s, err := New(opt)
+	s, err := scheduler.New(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	web := httptest.NewServer(s.Handler())
+	h := serve(t, s)
 	t.Cleanup(func() {
-		web.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		_ = s.Shutdown(ctx)
 	})
-	return &testHarness{t: t, srv: s, web: web}
+	return h
+}
+
+// serve puts s behind an httptest server, closed at cleanup, and leaves
+// shutting s down to the caller.
+func serve(t *testing.T, s *scheduler.Scheduler) *testHarness {
+	web := httptest.NewServer(transport.New(s).Handler())
+	t.Cleanup(web.Close)
+	return &testHarness{t: t, sched: s, web: web}
+}
+
+// metricsExec is the signature of a stub executor that yields only flow
+// metrics.
+type metricsExec func(context.Context, *scheduler.Job) (map[flow.ID]flow.Metrics, error)
+
+// setExec swaps the scheduler's executor for a metrics-only stub.
+func (h *testHarness) setExec(fn metricsExec) {
+	h.sched.SetExec(func(ctx context.Context, jb *scheduler.Job) (*scheduler.ExecResult, error) {
+		m, err := fn(ctx, jb)
+		if err != nil {
+			return nil, err
+		}
+		return &scheduler.ExecResult{Metrics: m}, nil
+	})
 }
 
 func (h *testHarness) do(method, path string, body any) (int, map[string]json.RawMessage) {
@@ -63,7 +89,7 @@ func (h *testHarness) do(method, path string, body any) (int, map[string]json.Ra
 	return resp.StatusCode, m
 }
 
-func (h *testHarness) submit(req JobRequest) string {
+func (h *testHarness) submit(req scheduler.JobRequest) string {
 	h.t.Helper()
 	code, body := h.do("POST", "/jobs", req)
 	if code != http.StatusAccepted {
@@ -76,13 +102,13 @@ func (h *testHarness) submit(req JobRequest) string {
 	return id
 }
 
-func (h *testHarness) state(id string) State {
+func (h *testHarness) state(id string) scheduler.State {
 	h.t.Helper()
 	code, body := h.do("GET", "/jobs/"+id, nil)
 	if code != http.StatusOK {
 		h.t.Fatalf("status %s: %d", id, code)
 	}
-	var st State
+	var st scheduler.State
 	if err := json.Unmarshal(body["state"], &st); err != nil {
 		h.t.Fatal(err)
 	}
@@ -91,7 +117,7 @@ func (h *testHarness) state(id string) State {
 
 // waitState polls until the job reaches want (or any terminal state when
 // want is empty), failing on timeout.
-func (h *testHarness) waitState(id string, want State) State {
+func (h *testHarness) waitState(id string, want scheduler.State) scheduler.State {
 	h.t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -116,12 +142,12 @@ func zeroTimes(m flow.Metrics) flow.Metrics {
 // over HTTP for Flows (2) and (5) equal a direct flow.Runner run of the
 // same spec and config, field for field (wall-clock times excluded).
 func TestEndToEndMatchesDirectRunner(t *testing.T) {
-	h := newHarness(t, Options{Workers: 2, QueueDepth: 4})
+	h := newHarness(t, scheduler.Options{Workers: 2, QueueDepth: 4})
 	const scale = 0.02
 	spec := synth.TableII()[0] // aes_300, the smallest-cell aes point
 
-	id := h.submit(JobRequest{Testcase: spec.Name(), Flows: []int{2, 5}, Scale: scale})
-	if st := h.waitState(id, ""); st != StateDone {
+	id := h.submit(scheduler.JobRequest{Testcase: spec.Name(), Flows: []int{2, 5}, Scale: scale})
+	if st := h.waitState(id, ""); st != scheduler.StateDone {
 		t.Fatalf("job finished %q, want done", st)
 	}
 	code, body := h.do("GET", "/jobs/"+id+"/result", nil)
@@ -156,16 +182,16 @@ func TestEndToEndMatchesDirectRunner(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	h := newHarness(t, Options{})
+	h := newHarness(t, scheduler.Options{})
 	cases := []struct {
 		name string
-		req  JobRequest
+		req  scheduler.JobRequest
 	}{
-		{"no spec", JobRequest{Flows: []int{5}}},
-		{"unknown testcase", JobRequest{Testcase: "nope_123"}},
-		{"flow out of range", JobRequest{Testcase: "aes_300", Flows: []int{9}}},
-		{"both spec and testcase", JobRequest{Testcase: "aes_300", Spec: &synth.Spec{Circuit: "x", Cells: 10}}},
-		{"negative jobs", JobRequest{Testcase: "aes_300", Jobs: -1}},
+		{"no spec", scheduler.JobRequest{Flows: []int{5}}},
+		{"unknown testcase", scheduler.JobRequest{Testcase: "nope_123"}},
+		{"flow out of range", scheduler.JobRequest{Testcase: "aes_300", Flows: []int{9}}},
+		{"both spec and testcase", scheduler.JobRequest{Testcase: "aes_300", Spec: &synth.Spec{Circuit: "x", Cells: 10}}},
+		{"negative jobs", scheduler.JobRequest{Testcase: "aes_300", Jobs: -1}},
 	}
 	for _, tc := range cases {
 		if code, _ := h.do("POST", "/jobs", tc.req); code != http.StatusBadRequest {
@@ -189,8 +215,8 @@ func TestSubmitValidation(t *testing.T) {
 // blockingExec replaces the real flow execution with one that parks until
 // released (or canceled), making queue and cancellation behavior
 // deterministic.
-func blockingExec(release <-chan struct{}) func(context.Context, *Job) (map[flow.ID]flow.Metrics, error) {
-	return func(ctx context.Context, jb *Job) (map[flow.ID]flow.Metrics, error) {
+func blockingExec(release <-chan struct{}) metricsExec {
+	return func(ctx context.Context, jb *scheduler.Job) (map[flow.ID]flow.Metrics, error) {
 		select {
 		case <-release:
 			return map[flow.ID]flow.Metrics{flow.Flow5: {Flow: flow.Flow5, HPWL: 42}}, nil
@@ -201,13 +227,13 @@ func blockingExec(release <-chan struct{}) func(context.Context, *Job) (map[flow
 }
 
 func TestQueueBackpressureAndCancel(t *testing.T) {
-	h := newHarness(t, Options{Workers: 1, QueueDepth: 1})
+	h := newHarness(t, scheduler.Options{Workers: 1, QueueDepth: 1})
 	release := make(chan struct{})
-	h.srv.setExec(blockingExec(release))
-	req := JobRequest{Testcase: "aes_300"}
+	h.setExec(blockingExec(release))
+	req := scheduler.JobRequest{Testcase: "aes_300"}
 
 	running := h.submit(req)
-	h.waitState(running, StateRunning)
+	h.waitState(running, scheduler.StateRunning)
 	// Result is 409 while the job is in flight.
 	if code, _ := h.do("GET", "/jobs/"+running+"/result", nil); code != http.StatusConflict {
 		t.Errorf("result while running: status %d, want 409", code)
@@ -223,10 +249,10 @@ func TestQueueBackpressureAndCancel(t *testing.T) {
 	if code, _ := h.do("POST", "/jobs/"+queued+"/cancel", nil); code != http.StatusOK {
 		t.Errorf("cancel queued: status not 200")
 	}
-	if st := h.state(queued); st != StateCanceled {
+	if st := h.state(queued); st != scheduler.StateCanceled {
 		t.Errorf("queued job state %q after cancel, want canceled", st)
 	}
-	if code, _ := h.do("GET", "/jobs/"+queued+"/result", nil); code != StatusClientClosedRequest {
+	if code, _ := h.do("GET", "/jobs/"+queued+"/result", nil); code != transport.StatusClientClosedRequest {
 		t.Errorf("canceled result: status %d, want 499", code)
 	}
 
@@ -235,7 +261,7 @@ func TestQueueBackpressureAndCancel(t *testing.T) {
 	if code, _ := h.do("DELETE", "/jobs/"+running, nil); code != http.StatusOK {
 		t.Errorf("cancel running: status not 200")
 	}
-	if st := h.waitState(running, ""); st != StateCanceled {
+	if st := h.waitState(running, ""); st != scheduler.StateCanceled {
 		t.Errorf("running job finished %q after cancel, want canceled", st)
 	}
 	// Double cancel on a finished job is a 409.
@@ -260,9 +286,9 @@ func TestQueueBackpressureAndCancel(t *testing.T) {
 		}
 	}
 	done := h.submit(req)
-	h.waitState(done, StateRunning)
+	h.waitState(done, scheduler.StateRunning)
 	close(release)
-	if st := h.waitState(done, ""); st != StateDone {
+	if st := h.waitState(done, ""); st != scheduler.StateDone {
 		t.Errorf("released job finished %q, want done", st)
 	}
 	code, body := h.do("GET", "/jobs/"+done+"/result", nil)
@@ -285,16 +311,16 @@ func TestErrorMapping(t *testing.T) {
 	}{
 		{errs.Infeasible("capacity exceeded"), http.StatusUnprocessableEntity},
 		{fmt.Errorf("stage: %w", errs.ErrTimeout), http.StatusGatewayTimeout},
-		{fmt.Errorf("stage: %w", errs.ErrCanceled), StatusClientClosedRequest},
+		{fmt.Errorf("stage: %w", errs.ErrCanceled), transport.StatusClientClosedRequest},
 		{errors.New("disk on fire"), http.StatusInternalServerError},
 	}
 	for _, tc := range cases {
-		h := newHarness(t, Options{Workers: 1})
+		h := newHarness(t, scheduler.Options{Workers: 1})
 		failErr := tc.err
-		h.srv.setExec(func(ctx context.Context, jb *Job) (map[flow.ID]flow.Metrics, error) {
+		h.setExec(func(ctx context.Context, jb *scheduler.Job) (map[flow.ID]flow.Metrics, error) {
 			return nil, failErr
 		})
-		id := h.submit(JobRequest{Testcase: "aes_300"})
+		id := h.submit(scheduler.JobRequest{Testcase: "aes_300"})
 		h.waitState(id, "")
 		if code, body := h.do("GET", "/jobs/"+id+"/result", nil); code != tc.want {
 			t.Errorf("%v: result status %d, want %d (body %v)", tc.err, code, tc.want, body)
@@ -305,19 +331,17 @@ func TestErrorMapping(t *testing.T) {
 // TestGracefulShutdown: intake stops, queued jobs are canceled, the
 // in-flight job drains to completion, and Shutdown returns clean.
 func TestGracefulShutdown(t *testing.T) {
-	s, err := New(Options{Workers: 1, QueueDepth: 4})
+	s, err := scheduler.New(scheduler.Options{Workers: 1, QueueDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := serve(t, s)
 	release := make(chan struct{})
-	s.setExec(blockingExec(release))
-	web := httptest.NewServer(s.Handler())
-	defer web.Close()
-	h := &testHarness{t: t, srv: s, web: web}
+	h.setExec(blockingExec(release))
 
-	req := JobRequest{Testcase: "aes_300"}
+	req := scheduler.JobRequest{Testcase: "aes_300"}
 	running := h.submit(req)
-	h.waitState(running, StateRunning)
+	h.waitState(running, scheduler.StateRunning)
 	queued := h.submit(req)
 
 	shutdownErr := make(chan error, 1)
@@ -343,7 +367,7 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Errorf("submit during shutdown: status %d, want 503", code)
 	}
 	// The queued job was canceled without running.
-	if st := h.waitState(queued, ""); st != StateCanceled {
+	if st := h.waitState(queued, ""); st != scheduler.StateCanceled {
 		t.Errorf("queued job %q at shutdown, want canceled", st)
 	}
 
@@ -352,7 +376,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("graceful shutdown returned %v", err)
 	}
-	if st := h.state(running); st != StateDone {
+	if st := h.state(running); st != scheduler.StateDone {
 		t.Errorf("in-flight job finished %q, want done (drained)", st)
 	}
 }
@@ -360,36 +384,34 @@ func TestGracefulShutdown(t *testing.T) {
 // TestShutdownDeadlineAbortsInFlight: when the drain budget expires, the
 // in-flight job's context is canceled and Shutdown reports the deadline.
 func TestShutdownDeadlineAbortsInFlight(t *testing.T) {
-	s, err := New(Options{Workers: 1})
+	s, err := scheduler.New(scheduler.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := serve(t, s)
 	release := make(chan struct{}) // never closed: the job only ends by cancel
-	s.setExec(blockingExec(release))
-	web := httptest.NewServer(s.Handler())
-	defer web.Close()
-	h := &testHarness{t: t, srv: s, web: web}
+	h.setExec(blockingExec(release))
 
-	id := h.submit(JobRequest{Testcase: "aes_300"})
-	h.waitState(id, StateRunning)
+	id := h.submit(scheduler.JobRequest{Testcase: "aes_300"})
+	h.waitState(id, scheduler.StateRunning)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if err := s.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Shutdown returned %v, want DeadlineExceeded", err)
 	}
-	if st := h.state(id); st != StateCanceled {
+	if st := h.state(id); st != scheduler.StateCanceled {
 		t.Errorf("in-flight job %q after forced shutdown, want canceled", st)
 	}
 }
 
 func TestStatsEndpoint(t *testing.T) {
-	h := newHarness(t, Options{Workers: 2, QueueDepth: 8})
+	h := newHarness(t, scheduler.Options{Workers: 2, QueueDepth: 8})
 	release := make(chan struct{})
-	h.srv.setExec(blockingExec(release))
+	h.setExec(blockingExec(release))
 
-	id := h.submit(JobRequest{Testcase: "aes_300"})
-	h.waitState(id, StateRunning)
+	id := h.submit(scheduler.JobRequest{Testcase: "aes_300"})
+	h.waitState(id, scheduler.StateRunning)
 
 	code, body := h.do("GET", "/stats", nil)
 	if code != http.StatusOK {
@@ -410,12 +432,12 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Errorf("workers = %d, want 2", workers)
 	}
 	close(release)
-	h.waitState(id, StateDone)
+	h.waitState(id, scheduler.StateDone)
 
 	// Latency percentiles appear once real flows complete; the stub records
 	// none, so just assert the field decodes.
 	_, body = h.do("GET", "/stats", nil)
-	var lat map[string]FlowLatency
+	var lat map[string]scheduler.FlowLatency
 	if err := json.Unmarshal(body["flow_latency"], &lat); err != nil {
 		t.Fatalf("flow_latency malformed: %v", err)
 	}
@@ -423,20 +445,20 @@ func TestStatsEndpoint(t *testing.T) {
 
 // TestListOrder: GET /jobs returns submission order.
 func TestListOrder(t *testing.T) {
-	h := newHarness(t, Options{Workers: 1, QueueDepth: 8})
+	h := newHarness(t, scheduler.Options{Workers: 1, QueueDepth: 8})
 	release := make(chan struct{})
 	defer close(release)
-	h.srv.setExec(blockingExec(release))
+	h.setExec(blockingExec(release))
 
 	var want []string
 	for i := 0; i < 3; i++ {
-		want = append(want, h.submit(JobRequest{Testcase: "aes_300"}))
+		want = append(want, h.submit(scheduler.JobRequest{Testcase: "aes_300"}))
 	}
 	code, body := h.do("GET", "/jobs", nil)
 	if code != http.StatusOK {
 		t.Fatalf("list: status %d", code)
 	}
-	var views []JobView
+	var views []scheduler.JobView
 	if err := json.Unmarshal(body["jobs"], &views); err != nil {
 		t.Fatal(err)
 	}

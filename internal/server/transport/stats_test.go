@@ -1,4 +1,4 @@
-package server
+package transport_test
 
 import (
 	"encoding/json"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mthplace/internal/flow"
+	"mthplace/internal/server/scheduler"
 )
 
 // TestStatsLatencyAfterJobs submits real jobs and asserts /stats reports
@@ -13,15 +14,15 @@ import (
 // gauges once they complete. (TestStatsEndpoint covers the in-flight
 // gauges with a stubbed executor; this test exercises the real path.)
 func TestStatsLatencyAfterJobs(t *testing.T) {
-	h := newHarness(t, Options{Workers: 2, QueueDepth: 8})
+	h := newHarness(t, scheduler.Options{Workers: 2, QueueDepth: 8})
 
 	const n = 5
 	ids := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		ids = append(ids, h.submit(JobRequest{Testcase: "aes_300", Scale: 0.01, Flows: []int{1, 5}}))
+		ids = append(ids, h.submit(scheduler.JobRequest{Testcase: "aes_300", Scale: 0.01, Flows: []int{1, 5}}))
 	}
 	for _, id := range ids {
-		if st := h.waitState(id, StateDone); st != StateDone {
+		if st := h.waitState(id, scheduler.StateDone); st != scheduler.StateDone {
 			t.Fatalf("job %s finished in state %q", id, st)
 		}
 	}
@@ -56,7 +57,7 @@ func TestStatsLatencyAfterJobs(t *testing.T) {
 		t.Errorf("utilization %v out of [0,1]", util)
 	}
 
-	var perFlow map[string]FlowLatency
+	var perFlow map[string]scheduler.FlowLatency
 	must("flow_latency", &perFlow)
 	for _, id := range []flow.ID{flow.Flow1, flow.Flow5} {
 		fl, ok := perFlow[id.String()]
@@ -76,7 +77,7 @@ func TestStatsLatencyAfterJobs(t *testing.T) {
 
 	var jobs map[string]int
 	must("jobs", &jobs)
-	if jobs[string(StateDone)] != n {
-		t.Errorf("jobs[done] = %d, want %d (all: %v)", jobs[string(StateDone)], n, jobs)
+	if jobs[string(scheduler.StateDone)] != n {
+		t.Errorf("jobs[done] = %d, want %d (all: %v)", jobs[string(scheduler.StateDone)], n, jobs)
 	}
 }

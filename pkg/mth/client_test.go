@@ -8,18 +8,19 @@ import (
 	"testing"
 	"time"
 
-	"mthplace/internal/server"
+	"mthplace/internal/server/scheduler"
+	"mthplace/internal/server/transport"
 )
 
 // newService boots a real placement service (cache on) behind httptest and
 // returns a client for it.
 func newService(t *testing.T, opts ...ClientOption) *Client {
 	t.Helper()
-	s, err := server.New(server.Options{Workers: 2, QueueDepth: 8, CacheEntries: 32, DefaultSolver: "greedy"})
+	s, err := scheduler.New(scheduler.Options{Workers: 2, QueueDepth: 8, CacheEntries: 32, DefaultSolver: "greedy"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	web := httptest.NewServer(s.Handler())
+	web := httptest.NewServer(transport.New(s).Handler())
 	t.Cleanup(func() {
 		web.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
