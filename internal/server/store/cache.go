@@ -122,4 +122,3 @@ func (c *Cache) Capacity() int {
 	}
 	return c.cap
 }
-
