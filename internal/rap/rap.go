@@ -26,9 +26,6 @@
 // The package is deliberately standalone — it does not import internal/core.
 // core builds an Instance from its Model (after its candidate pruning) and
 // maps the Result back onto its Assignment/ladder types.
-// Incremental re-solve lives in the Solver type (incremental.go): it keeps
-// the last duals and incumbent, so a perturbed instance warm-starts instead
-// of solving cold.
 package rap
 
 import (
@@ -164,9 +161,6 @@ type Result struct {
 	Nodes int
 	// Iters is the total subgradient iterations across all nodes.
 	Iters int
-	// Lambda holds the per-cluster assignment duals after the root
-	// subgradient — the warm-start state an incremental re-solve reuses.
-	Lambda []float64
 }
 
 // Gap returns the relative optimality gap of the result: 0 at proven
@@ -180,16 +174,6 @@ func (r *Result) Gap() float64 {
 		return 0
 	}
 	return g
-}
-
-// Solve runs the structure-aware branch and bound. warm, if non-nil, is a
-// cluster→row warm start; rows missing from a cluster's candidate list (or
-// breaking feasibility) are repaired before use, so a stale warm start can
-// only cost quality, never correctness. Cancellation is checked once per
-// node. A malformed instance returns an error; infeasibility is reported in
-// Result.Status.
-func Solve(ctx context.Context, in *Instance, warm []int32, opt Options) (*Result, error) {
-	return solve(ctx, in, warm, nil, math.Inf(-1), opt)
 }
 
 // bitset is a fixed-capacity bit vector over the flattened arc array.
@@ -1055,13 +1039,13 @@ func (s *search) clusterOf(a int32) int32 {
 	return lo
 }
 
-// solve is the shared engine behind Solve and (*Solver).Solve. lam0, when
-// non-nil, warm-starts the root duals.
-// solve is the search entry point. floor, when finite, is an externally
-// proven lower bound on the optimum (an incremental re-solve transfers one
-// from the previous solve); the root bound starts at max(subgradient, floor),
-// which can prove a warm incumbent optimal without expanding a single node.
-func solve(ctx context.Context, in *Instance, warm []int32, lam0 []float64, floor float64, opt Options) (*Result, error) {
+// Solve runs the structure-aware branch and bound. warm, if non-nil, is a
+// cluster→row warm start; rows missing from a cluster's candidate list (or
+// breaking feasibility) are repaired before use, so a stale warm start can
+// only cost quality, never correctness. Cancellation is checked once per
+// node. A malformed instance returns an error; infeasibility is reported in
+// Result.Status.
+func Solve(ctx context.Context, in *Instance, warm []int32, opt Options) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -1100,21 +1084,17 @@ func solve(ctx context.Context, in *Instance, warm []int32, lam0 []float64, floo
 	root.alive.setAll(s.nA)
 	root.lam = make([]float64, s.nC)
 	root.rows = make([]int8, s.nR)
-	if lam0 != nil {
-		copy(root.lam, lam0)
-	} else {
-		// Cold duals: each cluster's cheapest cost. All reduced costs start
-		// at ≥ 0 (L = Σ min-cost, the trivial bound) and the subgradient
-		// climbs from there.
-		for c := 0; c < s.nC; c++ {
-			minC := math.Inf(1)
-			for a := s.start[c]; a < s.start[c+1]; a++ {
-				if s.arcCost[a] < minC {
-					minC = s.arcCost[a]
-				}
+	// Cold duals: each cluster's cheapest cost. All reduced costs start at
+	// ≥ 0 (L = Σ min-cost, the trivial bound) and the subgradient climbs
+	// from there.
+	for c := 0; c < s.nC; c++ {
+		minC := math.Inf(1)
+		for a := s.start[c]; a < s.start[c+1]; a++ {
+			if s.arcCost[a] < minC {
+				minC = s.arcCost[a]
 			}
-			root.lam[c] = minC
 		}
+		root.lam[c] = minC
 	}
 	s.rows = root.rows
 	if !s.propagate(root.alive) {
@@ -1126,12 +1106,8 @@ func solve(ctx context.Context, in *Instance, warm []int32, lam0 []float64, floo
 	}
 	rootBound := s.subgradient(root.alive, root.lam, opt.RootIters, 2.0)
 	if math.IsInf(rootBound, 1) {
-		res.Lambda = append([]float64(nil), root.lam...)
-		res.Status = Infeasible
+			res.Status = Infeasible
 		return finish(), nil
-	}
-	if floor > rootBound {
-		rootBound = floor
 	}
 	s.repair(root.alive)
 	// Root reduced-cost fixing: shrink the arc set against the incumbent and
@@ -1147,7 +1123,6 @@ func solve(ctx context.Context, in *Instance, warm []int32, lam0 []float64, floo
 		}
 		s.repair(root.alive)
 	}
-	res.Lambda = append([]float64(nil), root.lam...)
 	root.bound = rootBound
 
 	h := &nodeHeap{}

@@ -276,68 +276,6 @@ func TestWarmStartRepair(t *testing.T) {
 	}
 }
 
-// TestIncrementalSolver exercises the perturbation API: every warm re-solve
-// must match a cold solve's optimum exactly.
-func TestIncrementalSolver(t *testing.T) {
-	rng := rand.New(rand.NewSource(66))
-	n := 60
-	if testing.Short() {
-		n = 15
-	}
-	for i := 0; i < n; i++ {
-		in := randomInstance(rng, true)
-		s, err := NewSolver(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Solve(context.Background(), Options{}); err != nil {
-			t.Fatal(err)
-		}
-		for step := 0; step < 6; step++ {
-			switch rng.Intn(3) {
-			case 0: // cost row changed
-				c := rng.Intn(s.Instance().NumClusters())
-				arcs := make([]Arc, in.NR)
-				for r := 0; r < in.NR; r++ {
-					arcs[r] = Arc{Row: int32(r), Cost: float64(rng.Intn(1001))}
-				}
-				if err := s.SetClusterArcs(c, arcs); err != nil {
-					t.Fatal(err)
-				}
-			case 1: // cluster added
-				arcs := make([]Arc, in.NR)
-				for r := 0; r < in.NR; r++ {
-					arcs[r] = Arc{Row: int32(r), Cost: float64(rng.Intn(1001))}
-				}
-				if _, err := s.AddCluster(int64(rng.Intn(50)+1), arcs); err != nil {
-					t.Fatal(err)
-				}
-			case 2: // cluster removed
-				if n := s.Instance().NumClusters(); n > 1 {
-					if err := s.RemoveCluster(rng.Intn(n)); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			warmRes, err := s.Solve(context.Background(), Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := bruteForce(s.Instance())
-			if math.IsInf(want, 1) {
-				if warmRes.Status != Infeasible {
-					t.Fatalf("instance %d step %d: want infeasible, got %v", i, step, warmRes.Status)
-				}
-				continue
-			}
-			if warmRes.Status != Optimal || math.Abs(warmRes.Obj-want) > 1e-6 {
-				t.Fatalf("instance %d step %d: warm solve status %v obj %g, want Optimal %g",
-					i, step, warmRes.Status, warmRes.Obj, want)
-			}
-		}
-	}
-}
-
 // TestBitset covers the flattened-arc bit vector helpers.
 func TestBitset(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 130} {
