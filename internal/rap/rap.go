@@ -1106,7 +1106,7 @@ func Solve(ctx context.Context, in *Instance, warm []int32, opt Options) (*Resul
 	}
 	rootBound := s.subgradient(root.alive, root.lam, opt.RootIters, 2.0)
 	if math.IsInf(rootBound, 1) {
-			res.Status = Infeasible
+		res.Status = Infeasible
 		return finish(), nil
 	}
 	s.repair(root.alive)

@@ -174,7 +174,7 @@ type RemoteOptions struct {
 	Client *http.Client
 	// Registry receives the lane's series, labelled backend=<name>: the
 	// circuit state, the last heartbeat round trip and the dispatch
-	// failure count. Nil keeps them in a private registry.
+	// failure count. Required.
 	Registry *obs.Registry
 	// OnSpans receives each dispatched job's worker-side span records,
 	// already skew-corrected and lane-labelled. Called from dispatcher
@@ -212,11 +212,7 @@ func NewRemote(name string, opt RemoteOptions) *Remote {
 	if client == nil {
 		client = &http.Client{}
 	}
-	reg := opt.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	labels := obs.Labels{"backend": name}
+	reg, labels := opt.Registry, obs.Labels{"backend": name}
 	circuit := reg.Gauge("backend_circuit_state", "Remote lane circuit state (0 closed, 1 open, 2 half-open).", labels)
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Remote{
