@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -201,23 +202,8 @@ func TestStatsSchemaGolden(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	for section, keys := range want {
-		for k, typ := range keys {
-			if g, ok := got[section][k]; !ok {
-				t.Errorf("%s: key %q missing (want %s)", section, k, typ)
-			} else if g != typ {
-				t.Errorf("%s: key %q is %s, want %s", section, k, g, typ)
-			}
-		}
-	}
-	for section, keys := range got {
-		if _, ok := want[section]; !ok {
-			t.Errorf("unexpected section %q", section)
-		}
-		for k, typ := range keys {
-			if _, ok := want[section][k]; !ok {
-				t.Errorf("%s: unexpected key %q (%s)", section, k, typ)
-			}
-		}
+	if !reflect.DeepEqual(got, want) {
+		gotJSON, _ := json.MarshalIndent(got, "", "  ")
+		t.Errorf("/stats schema drifted from %s:\n got %s\nwant %s", path, gotJSON, raw)
 	}
 }
