@@ -60,7 +60,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "debug listen address for /debug/pprof/ and /metrics (empty = disabled)")
 	workers := flag.Int("workers", 2, "concurrent placement jobs (split across -backends lanes; worker mode: execution slots)")
 	queue := flag.Int("queue", 16, "job queue depth beyond the workers (split across -backends lanes)")
-	backends := flag.Int("backends", 1, "local execution lanes; jobs route to a lane by consistent hash of their instance keys (defaults to 0 when -remote is set)")
+	backends := flag.Int("backends", 0, "in-process execution lanes; jobs route to a lane by consistent hash of their instance keys (0 = 1, or none with -remote)")
 	workerMode := flag.Bool("worker", false, "run as an execution worker: serve the worker API (/worker/v1/) for a coordinator's -remote list instead of the job API")
 	remotes := flag.String("remote", "", "comma-separated worker base URLs (http://host:port) added as remote execution lanes")
 	lease := flag.Duration("lease", 0, "remote job lease duration; a worker silent this long has its jobs re-routed (0 = 15s default)")
@@ -101,23 +101,10 @@ func main() {
 			remoteList = append(remoteList, r)
 		}
 	}
-	// -backends defaults to 1, but a coordinator with remote lanes should
-	// default to running nothing locally; only an explicit -backends wins.
-	backendsSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "backends" {
-			backendsSet = true
-		}
-	})
-	localLanes := *backends
-	if len(remoteList) > 0 && !backendsSet {
-		localLanes = 0
-	}
-
 	sched, err := scheduler.New(scheduler.Options{
 		Workers:       *workers,
 		QueueDepth:    *queue,
-		Backends:      localLanes,
+		Backends:      *backends,
 		Remotes:       remoteList,
 		LeaseDuration: *lease,
 		ProbeInterval: *probeInterval,

@@ -215,15 +215,18 @@ func (r *JobRequest) config(shared *par.Pool, defaultSolver string) flow.Config 
 
 // ExecResult is what one execution of a job's flows produces: the metrics
 // plus a SHA-256 digest of each flow's final placement (the proof that a
-// cache hit replays the cold solve bit for bit).
+// cache hit replays the cold solve bit for bit), and each flow's run time
+// for /stats flow_latency.
 type ExecResult struct {
 	Metrics    map[flow.ID]flow.Metrics
 	Placements map[flow.ID]string
+	Durations  map[flow.ID]time.Duration
 }
 
-// ExecFunc runs a job's flows. The scheduler's default implementation
-// drives flow.Runner; tests swap in stubs via Scheduler.SetExec.
-type ExecFunc func(ctx context.Context, jb *Job) (*ExecResult, error)
+// ExecFunc runs one dispatched request on a worker. The default is
+// RunRequest; tests swap in stubs via WorkerHandler.SetExec or, for every
+// in-process lane at once, Scheduler.SetExec.
+type ExecFunc func(ctx context.Context, req JobRequest) (*ExecResult, error)
 
 // Job is one placement run through the fabric. All mutable fields are
 // guarded by mu; JSON rendering goes through View.

@@ -1,18 +1,20 @@
-// Remote execution lane: a Backend that dispatches jobs over HTTP to a
-// peer mthserved process running in -worker mode. The lane looks exactly
-// like Local to the scheduler — a bounded queue drained by a fixed set of
-// dispatcher goroutines — but each dispatcher ships the job's request to
-// the worker and waits for the WireResult instead of running flows itself.
+// Execution lanes. Every lane is the same thing: a bounded queue drained
+// by a fixed set of dispatcher goroutines, each of which ships a job's
+// request to a worker (worker.go) as a WireJob and waits for the
+// WireResult under a lease. A remote lane's worker is a peer mthserved
+// -worker process; an in-process lane's is a handler in this process,
+// reached through an http.Client whose transport calls it directly with no
+// socket. That client is the only difference between the two.
 //
 // Failure handling lives in three places with sharp boundaries:
 //
 //   - transport-level trouble (connection refused, truncated or corrupt
 //     response, worker 503) is classed errs.ErrTransient + ErrUnavailable,
-//     so the scheduler's existing backoff retries it a few times and then
-//     re-routes the job through the ring (runJobOn);
+//     so the scheduler's backoff retries it a few times and then re-routes
+//     the job through the ring (runJobOn);
 //   - job-level failures reported by a healthy worker (infeasible, panic,
-//     timeout) are rebuilt as the same typed errors a local run would have
-//     produced, and never count against the lane's health;
+//     timeout) are rebuilt as typed errors from their wire class, and never
+//     count against the lane's health;
 //   - lane-level health is a circuit breaker fed by dispatch outcomes and
 //     a heartbeat prober, so a dead worker is ejected from routing within
 //     a bounded window and readmitted only after a probe succeeds.
@@ -22,6 +24,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -35,9 +38,15 @@ import (
 	"mthplace/internal/obs"
 )
 
-// Fault-point names at the remote-dispatch network boundary.
+// ErrQueueFull is returned by Lane.Enqueue when the lane's queue is at
+// capacity; the transport maps it to 429.
+var ErrQueueFull = errors.New("job queue full")
+
+// Fault-point names at the dispatch boundary of every lane. The "remote."
+// prefix predates in-process lanes going through the wire; MTHPLACE_FAULTS
+// specs name the points by it.
 const (
-	// FaultDispatch governs Remote.Execute: refuse fails the dispatch
+	// FaultDispatch governs Lane.Execute on every lane: refuse fails the dispatch
 	// before any bytes are sent, drop truncates the response mid-body,
 	// corrupt mangles the response bytes, error/latency/panic behave as at
 	// any other point.
@@ -153,9 +162,10 @@ func (b *breaker) State() string {
 	return b.state
 }
 
-// RemoteOptions tunes one remote lane.
-type RemoteOptions struct {
-	// Addr is the worker's base URL ("http://host:port").
+// LaneOptions tunes one lane.
+type LaneOptions struct {
+	// Addr is a remote worker's base URL ("http://host:port"); empty for an
+	// in-process lane, whose Client reaches its worker without one.
 	Addr string
 	// Dispatchers is the lane's concurrent-dispatch complement (>= 1).
 	Dispatchers int
@@ -169,8 +179,9 @@ type RemoteOptions struct {
 	BreakerThreshold int
 	// BreakerCooldown is the open → half-open delay.
 	BreakerCooldown time.Duration
-	// Client overrides the HTTP client (tests); nil uses a default with no
-	// global timeout — per-dispatch lifetimes come from the job context.
+	// Client carries the lane's requests; nil uses a default with no global
+	// timeout — per-dispatch lifetimes come from the job context. An
+	// in-process lane's client has a handlerTransport.
 	Client *http.Client
 	// Registry receives the lane's series, labelled backend=<name>: the
 	// circuit state, the last heartbeat round trip and the dispatch
@@ -183,10 +194,14 @@ type RemoteOptions struct {
 	OnSpans func(job string, spans []obs.SpanRecord)
 }
 
-// Remote is the HTTP-dispatch Backend.
-type Remote struct {
+// Lane is one execution lane of the scheduler. The scheduler routes each
+// job to exactly one lane by consistent-hashing its instance key, so
+// resubmissions of the same instance land on the same lane (cache and
+// data-locality affinity); everything job-lifecycle (claiming, leases,
+// retries, journaling) stays in the scheduler.
+type Lane struct {
 	name   string
-	opt    RemoteOptions
+	opt    LaneOptions
 	client *http.Client
 	queue  chan *Job
 	wg     sync.WaitGroup // dispatchers + prober
@@ -200,8 +215,8 @@ type Remote struct {
 	clockOffUS atomic.Int64 // worker clock minus coordinator clock, micros; refreshed by each successful ping
 }
 
-// NewRemote builds a remote lane. Call Start to begin dispatching.
-func NewRemote(name string, opt RemoteOptions) *Remote {
+// NewLane builds a lane. Call Start to begin dispatching.
+func NewLane(name string, opt LaneOptions) *Lane {
 	if opt.Dispatchers < 1 {
 		opt.Dispatchers = 1
 	}
@@ -213,16 +228,16 @@ func NewRemote(name string, opt RemoteOptions) *Remote {
 		client = &http.Client{}
 	}
 	reg, labels := opt.Registry, obs.Labels{"backend": name}
-	circuit := reg.Gauge("backend_circuit_state", "Remote lane circuit state (0 closed, 1 open, 2 half-open).", labels)
+	circuit := reg.Gauge("backend_circuit_state", "Lane circuit state (0 closed, 1 open, 2 half-open).", labels)
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Remote{
+	return &Lane{
 		name:   name,
 		opt:    opt,
 		client: client,
 		queue:  make(chan *Job, opt.Depth),
 		br:     newBreaker(opt.BreakerThreshold, opt.BreakerCooldown, func(st string) { circuit.Set(circuitValue(st)) }),
-		rtt:    reg.Gauge("backend_heartbeat_rtt_seconds", "Last successful heartbeat round trip per remote lane.", labels),
-		fails:  reg.Counter("dispatch_failures_total", "Transport-level dispatch failures per remote lane.", labels),
+		rtt:    reg.Gauge("backend_heartbeat_rtt_seconds", "Last successful heartbeat round trip per lane.", labels),
+		fails:  reg.Counter("dispatch_failures_total", "Transport-level dispatch failures per lane.", labels),
 		ctx:    ctx,
 		cancel: cancel,
 	}
@@ -240,13 +255,16 @@ func circuitValue(state string) float64 {
 	}
 }
 
-func (r *Remote) Name() string  { return r.name }
-func (r *Remote) Addr() string  { return r.opt.Addr }
-func (r *Remote) Depth() int    { return len(r.queue) }
-func (r *Remote) Capacity() int { return cap(r.queue) }
-func (r *Remote) Workers() int  { return r.opt.Dispatchers }
+func (r *Lane) Name() string  { return r.name }
+func (r *Lane) Addr() string  { return r.opt.Addr }
+func (r *Lane) Depth() int    { return len(r.queue) }
+func (r *Lane) Capacity() int { return cap(r.queue) }
+func (r *Lane) Workers() int  { return r.opt.Dispatchers }
 
-func (r *Remote) Enqueue(jb *Job) error {
+// Enqueue hands a job to the lane, or returns ErrQueueFull. The scheduler
+// serializes all Enqueue calls under its own lock, so Depth/Enqueue may be
+// used as check-then-act.
+func (r *Lane) Enqueue(jb *Job) error {
 	select {
 	case r.queue <- jb:
 		return nil
@@ -255,7 +273,10 @@ func (r *Remote) Enqueue(jb *Job) error {
 	}
 }
 
-func (r *Remote) Start(run func(*Job)) {
+// Start launches the dispatchers and the prober; run is called once per
+// dequeued job and owns the job's whole lifecycle. Jobs enqueued before
+// Start are kept.
+func (r *Lane) Start(run func(*Job)) {
 	r.wg.Add(r.opt.Dispatchers)
 	for i := 0; i < r.opt.Dispatchers; i++ {
 		go func() {
@@ -274,7 +295,7 @@ func (r *Remote) Start(run func(*Job)) {
 // Close stops the prober and intake; queued jobs drain through the
 // dispatchers first (the scheduler cancels them during shutdown, so the
 // drain is fast).
-func (r *Remote) Close() {
+func (r *Lane) Close() {
 	r.cancel()
 	close(r.queue)
 }
@@ -282,7 +303,7 @@ func (r *Remote) Close() {
 // Wait blocks until the dispatchers and prober have exited, then releases
 // idle keep-alive connections so a shut-down coordinator holds no sockets
 // open to its workers.
-func (r *Remote) Wait() {
+func (r *Lane) Wait() {
 	r.wg.Wait()
 	r.client.CloseIdleConnections()
 }
@@ -290,16 +311,16 @@ func (r *Remote) Wait() {
 // Healthy reports whether routing may consider this lane: any circuit
 // state but open. Half-open counts as healthy so the trial dispatch that
 // would close the circuit can actually happen.
-func (r *Remote) Healthy() bool { return r.br.State() != CircuitOpen }
+func (r *Lane) Healthy() bool { return r.br.State() != CircuitOpen }
 
 // CircuitState returns the lane's circuit state for /stats.
-func (r *Remote) CircuitState() string { return r.br.State() }
+func (r *Lane) CircuitState() string { return r.br.State() }
 
 // probeLoop is the heartbeat: ping the worker every interval, feeding the
 // breaker. Success closes the circuit (readmission); failure counts toward
 // opening it even with no traffic, so a silently dead worker is ejected
 // within threshold × interval.
-func (r *Remote) probeLoop() {
+func (r *Lane) probeLoop() {
 	defer r.wg.Done()
 	t := time.NewTicker(r.opt.ProbeInterval)
 	defer t.Stop()
@@ -322,7 +343,7 @@ func (r *Remote) probeLoop() {
 }
 
 // Ping performs one heartbeat round trip, recording its RTT on success.
-func (r *Remote) Ping(ctx context.Context) error {
+func (r *Lane) Ping(ctx context.Context) error {
 	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
 	if rule := fault.InjectNet(ctx, FaultHeartbeat); rule != nil {
@@ -360,7 +381,7 @@ func (r *Remote) Ping(ctx context.Context) error {
 // WireResult never made it back) and hands them to the OnSpans sink.
 // Best-effort: a failed drain leaves the stash on the worker for the next
 // heartbeat.
-func (r *Remote) drainSpans(ctx context.Context) {
+func (r *Lane) drainSpans(ctx context.Context) {
 	if r.opt.OnSpans == nil {
 		return
 	}
@@ -393,7 +414,7 @@ func (r *Remote) drainSpans(ctx context.Context) {
 // clock; subtracting the heartbeat-estimated offset places them on the
 // coordinator's timeline so the merged trace doesn't show a solver starting
 // before its dispatch.
-func (r *Remote) deliverSpans(job string, spans []obs.SpanRecord) {
+func (r *Lane) deliverSpans(job string, spans []obs.SpanRecord) {
 	if r.opt.OnSpans == nil || len(spans) == 0 {
 		return
 	}
@@ -409,9 +430,9 @@ func (r *Remote) deliverSpans(job string, spans []obs.SpanRecord) {
 // errs.ErrTransient makes the scheduler's backoff retry it on this lane,
 // and errs.ErrUnavailable makes the post-retry path re-route instead of
 // failing the job (and maps to 503 if the job does fail).
-func (r *Remote) unavailable(format string, args ...any) error {
+func (r *Lane) unavailable(format string, args ...any) error {
 	return fmt.Errorf("dispatch to %s: %s: %w (%w)", r.name,
-		fmt.Sprintf(format, args...), errs.ErrUnavailable, errs.Transient("remote transport"))
+		fmt.Sprintf(format, args...), errs.ErrUnavailable, errs.Transient("lane transport"))
 }
 
 // Execute dispatches one job to the worker and decodes its result. The
@@ -419,7 +440,7 @@ func (r *Remote) unavailable(format string, args ...any) error {
 // the lane is suspect) or the job's own typed failure rebuilt from the
 // wire (the lane is fine). ctx cancellation propagates to the worker by
 // aborting the in-flight request.
-func (r *Remote) Execute(ctx context.Context, jb *Job) (*ExecResult, error) {
+func (r *Lane) Execute(ctx context.Context, jb *Job) (*ExecResult, error) {
 	if !r.br.allow() {
 		// No ErrTransient here: retrying an open circuit on the same lane
 		// is pointless, the caller should go straight to re-routing.
@@ -442,12 +463,12 @@ func (r *Remote) Execute(ctx context.Context, jb *Job) (*ExecResult, error) {
 	if res.Error != "" {
 		return nil, errorFromClass(res.Class, res.Error)
 	}
-	return &ExecResult{Metrics: res.Metrics, Placements: res.Placements}, nil
+	return &ExecResult{Metrics: res.Metrics, Placements: res.Placements, Durations: res.Durations}, nil
 }
 
 // dispatch performs the HTTP round trip, simulating any armed network
 // fault at the FaultDispatch point. Errors are transport-classed.
-func (r *Remote) dispatch(ctx context.Context, jb *Job) (*WireResult, error) {
+func (r *Lane) dispatch(ctx context.Context, jb *Job) (*WireResult, error) {
 	rule := fault.InjectNet(ctx, FaultDispatch)
 	if rule != nil {
 		switch rule.Kind {
@@ -513,4 +534,58 @@ func truncate(b []byte, n int) string {
 		b = b[:n]
 	}
 	return string(b)
+}
+
+// handlerTransport is an in-process lane's http.RoundTripper: it serves
+// each request with the lane's worker handler directly, with no socket, so
+// the lane speaks the same WireJob/WireResult protocol as a remote one.
+// The request context passes through unchanged, which is how the job's
+// progress sink and cancellation reach the flows.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	sreq := req.Clone(req.Context()) // the handler side may annotate its request
+	if sreq.Body == nil {
+		sreq.Body = http.NoBody
+	}
+	w := &memResponse{header: http.Header{}, code: http.StatusOK}
+	t.h.ServeHTTP(w, sreq)
+	// Like a socket whose caller hung up: an answer written after the
+	// request died never arrives, and the worker has stashed its spans for
+	// the heartbeat drain instead.
+	if err := req.Context().Err(); err != nil {
+		return nil, err
+	}
+	return &http.Response{
+		Status:        http.StatusText(w.code),
+		StatusCode:    w.code,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        w.header,
+		Body:          io.NopCloser(&w.body),
+		ContentLength: int64(w.body.Len()),
+		Request:       req,
+	}, nil
+}
+
+// memResponse is the http.ResponseWriter handlerTransport records into.
+type memResponse struct {
+	header http.Header
+	code   int
+	wrote  bool
+	body   bytes.Buffer
+}
+
+func (m *memResponse) Header() http.Header { return m.header }
+
+func (m *memResponse) WriteHeader(code int) {
+	if !m.wrote {
+		m.code, m.wrote = code, true
+	}
+}
+
+func (m *memResponse) Write(p []byte) (int, error) {
+	m.wrote = true
+	return m.body.Write(p)
 }

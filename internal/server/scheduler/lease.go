@@ -1,5 +1,5 @@
-// Lease-based ownership of remotely dispatched jobs. A job handed to a
-// Remote lane carries a deadline-bound lease, journaled so the audit trail
+// Lease-based ownership of dispatched jobs. Every job a lane hands to its
+// worker carries a deadline-bound lease, journaled so the audit trail
 // shows who owned what when. While the attempt is in flight a renewal loop
 // pings the worker and extends the lease — a busy-but-alive worker keeps
 // its job indefinitely — so only a dead, hung or partitioned worker lets
@@ -18,8 +18,9 @@ import (
 	"mthplace/internal/journal"
 )
 
-// startLeaseLoop launches the monitor goroutine; only called when the
-// scheduler has remote lanes, so pure-local configurations pay nothing.
+// startLeaseLoop launches the monitor goroutine. It sweeps every lane's
+// jobs: an in-process worker is leased like a remote one, so one chaos
+// suite guards both.
 func (s *Scheduler) startLeaseLoop() {
 	s.leaseStop = make(chan struct{})
 	s.leaseWG.Add(1)
@@ -103,7 +104,8 @@ func (s *Scheduler) reroute(jb *Job, epoch int64) bool {
 	}
 	from := s.laneIndex(jb.backendName())
 	hasRoom := func(i int) bool {
-		return s.laneHealthy(i) && s.backends[i].Depth() < s.backends[i].Capacity()
+		b := s.backends[i]
+		return b.Healthy() && b.Depth() < b.Capacity()
 	}
 	idx, ok := s.ring.pickLive(routingKey(jb.keys), from, hasRoom)
 	if !ok {
@@ -165,15 +167,6 @@ func (s *Scheduler) laneIndex(name string) int {
 	return -1
 }
 
-// laneHealthy reports whether lane i may receive work: remote lanes answer
-// through their circuit breaker, local lanes are always healthy.
-func (s *Scheduler) laneHealthy(i int) bool {
-	if rb, ok := s.backends[i].(*Remote); ok {
-		return rb.Healthy()
-	}
-	return true
-}
-
 // startLeaseRenewal launches the per-attempt renewal loop: every third of
 // the lease duration it pings the worker and, on success, pushes the lease
 // deadline out. The returned stop function is deferred by the attempt; the
@@ -181,7 +174,7 @@ func (s *Scheduler) laneHealthy(i int) bool {
 // a re-route (renewLease rejects the stale epoch), or when the lease
 // already lapsed (renewLease refuses to resurrect it — the monitor owns
 // an expired lease's fate).
-func (s *Scheduler) startLeaseRenewal(ctx context.Context, jb *Job, epoch int64, rb *Remote) (stop func()) {
+func (s *Scheduler) startLeaseRenewal(ctx context.Context, jb *Job, epoch int64, rb *Lane) (stop func()) {
 	done := make(chan struct{})
 	finished := make(chan struct{})
 	go func() {

@@ -15,9 +15,14 @@ import (
 )
 
 // netChaosSchedules is the seeded schedule count of the network chaos
-// suite. Every schedule is a pure function of its seed, so a failing seed
-// replays exactly with -run 'TestNetworkChaos/seed=N'.
-const netChaosSchedules = 250
+// suite, and netChaosInProcessSchedules that of its in-process topology.
+// Every schedule is a pure function of its seed, so a failing seed replays
+// exactly with -run 'TestNetworkChaos/seed=N' (or
+// 'TestNetworkChaosInProcess/seed=N').
+const (
+	netChaosSchedules          = 250
+	netChaosInProcessSchedules = 100
+)
 
 // netChaosDisruption is one thing that goes wrong during a schedule.
 type netChaosDisruption int
@@ -56,24 +61,51 @@ func TestNetworkChaos(t *testing.T) {
 	}
 	for seed := 0; seed < n; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runNetChaosSchedule(t, int64(seed))
+			runNetChaosSchedule(t, int64(seed), false)
 		})
 	}
 }
 
-func runNetChaosSchedule(t *testing.T, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	w0, w1 := newStubWorker(t), newStubWorker(t)
-	workers := []*stubWorker{w0, w1}
-	dir := t.TempDir()
+// TestNetworkChaosInProcess runs the same suite on the default deployment's
+// topology: two in-process lanes and no remote worker. Their dispatches
+// cross the same wire boundary (WireJob → worker handler → WireResult
+// under a lease), so refused and corrupted dispatches must meet the same
+// invariants.
+func TestNetworkChaosInProcess(t *testing.T) {
+	n := netChaosInProcessSchedules
+	if testing.Short() {
+		n = 20
+	}
+	for seed := 0; seed < n; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			runNetChaosSchedule(t, int64(seed), true)
+		})
+	}
+}
 
-	opt := remoteOptions(w0.URL(), w1.URL())
+// runNetChaosSchedule plays one seeded schedule. With inProcess the lanes
+// are two in-process workers running stubResult, and the disruption is a
+// refused or corrupted dispatch; otherwise they are two stub workers
+// behind remote lanes, under any disruption.
+func runNetChaosSchedule(t *testing.T, seed int64, inProcess bool) {
+	rng := rand.New(rand.NewSource(seed))
+	dir := t.TempDir()
+	var opt Options
+	var disruption netChaosDisruption
+	var victim *stubWorker
+	if inProcess {
+		opt = remoteOptions()
+		opt.Backends, opt.Workers = 2, 4
+		disruption = [...]netChaosDisruption{disruptRefuseFirst, disruptCorruptWire}[rng.Intn(2)]
+	} else {
+		w0, w1 := newStubWorker(t), newStubWorker(t)
+		opt = remoteOptions(w0.URL(), w1.URL())
+		disruption = netChaosDisruption(rng.Intn(int(disruptCount)))
+		victim = []*stubWorker{w0, w1}[rng.Intn(2)]
+	}
 	opt.JournalDir = dir
 	opt.LeaseDuration = 50 * time.Millisecond
 	opt.MaxRetries = 2
-
-	disruption := netChaosDisruption(rng.Intn(int(disruptCount)))
-	victim := workers[rng.Intn(len(workers))]
 	k := 1 + rng.Intn(3)
 
 	// Wire-level fault plans are installed before the scheduler starts so
@@ -96,6 +128,7 @@ func runNetChaosSchedule(t *testing.T, seed int64) {
 	}
 
 	s := newSched(t, opt)
+	s.SetExec(func(_ context.Context, req JobRequest) (*ExecResult, error) { return stubResult(req), nil })
 
 	const jobs = 10
 	reqs := make([]JobRequest, jobs)
@@ -226,6 +259,15 @@ func runNetChaosSchedule(t *testing.T, seed int64) {
 		t.Errorf("disruption=%s: %d reroute instants in traces vs %d counted reroutes",
 			disruption, rerouteInstants, got)
 	}
+	if disruption == disruptRefuseFirst || disruption == disruptCorruptWire {
+		var fails int64
+		for _, b := range s.Stats().Backends {
+			fails += b.DispatchFailures
+		}
+		if fails < 1 {
+			t.Errorf("disruption=%s: no dispatch failed, so the fault never reached the wire", disruption)
+		}
+	}
 	assertStatsMatchMetrics(t, s, disruption.String())
 }
 
@@ -276,8 +318,6 @@ func assertStatsMatchMetrics(t *testing.T, s *Scheduler, label string) {
 	check("mth_cache_hits_total", snap.Cache.Hits)
 	check("mth_cache_misses_total", snap.Cache.Misses)
 	for _, b := range snap.Backends {
-		if b.Addr != "" {
-			check(fmt.Sprintf("dispatch_failures_total{backend=%q}", b.Name), b.DispatchFailures)
-		}
+		check(fmt.Sprintf("dispatch_failures_total{backend=%q}", b.Name), b.DispatchFailures)
 	}
 }

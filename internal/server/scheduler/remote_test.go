@@ -56,8 +56,8 @@ const (
 )
 
 // stubWorker is a hand-rolled worker-protocol server for coordinator tests.
-// It deliberately does NOT use the worker package (which imports this one);
-// it speaks the wire protocol directly and fails in controllable ways.
+// Unlike WorkerHandler it fails in controllable ways: it dies, hangs,
+// refuses with 503, or answers garbage on command.
 type stubWorker struct {
 	srv *httptest.Server
 
@@ -738,8 +738,8 @@ func TestConcurrentSubmitStatsViews(t *testing.T) {
 	opt.Backends = 1
 	opt.Workers = 2
 	s := newSched(t, opt)
-	s.SetExec(func(ctx context.Context, jb *Job) (*ExecResult, error) {
-		return stubResult(jb.Request()), nil
+	s.SetExec(func(ctx context.Context, req JobRequest) (*ExecResult, error) {
+		return stubResult(req), nil
 	})
 
 	var writers, readers sync.WaitGroup

@@ -1,16 +1,20 @@
 // Package scheduler is the job-execution layer of the placement service:
-// it owns the work queues, the worker pools, retries, the crash-safe
-// journal and the content-addressed solve cache. The HTTP layer
-// (internal/server/transport) talks to it only through exported methods —
-// no handler reaches into a job's guts — and execution lanes hide behind
-// the Backend interface, so a multi-process deployment changes this
-// package's wiring, not its callers.
+// it owns the work queues, the execution lanes and their workers, leases,
+// retries, the crash-safe journal and the content-addressed solve cache.
+// The HTTP layer (internal/server/transport) talks to it only through
+// exported methods — no handler reaches into a job's guts.
+//
+// Every job runs the same way: a lane dispatches it as a WireJob to a
+// worker handler under a lease and commits the WireResult. In-process
+// lanes reach their handler through an in-memory transport, remote lanes
+// over HTTP, so a multi-process deployment changes this package's wiring,
+// not its execution path.
 //
 // Routing: every job's canonical instance key (store.Instance) is
-// consistent-hashed onto one Backend. With the default single local
-// backend this is invisible; with several, identical instances always land
-// on the same lane, which is what makes per-lane caches and data locality
-// work when lanes become separate processes.
+// consistent-hashed onto one lane. With the default single in-process
+// lane this is invisible; with several, identical instances always land on
+// the same lane, which is what makes per-lane caches and data locality
+// work when lanes are separate processes.
 package scheduler
 
 import (
@@ -24,8 +28,8 @@ import (
 	"hash/fnv"
 	"io"
 	"log/slog"
+	"net/http"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,7 +58,7 @@ var (
 // Options tunes the scheduler.
 type Options struct {
 	// Workers is the total number of jobs run concurrently, divided across
-	// the backends (default 2).
+	// the in-process lanes (default 2).
 	Workers int
 	// QueueDepth bounds the number of jobs waiting behind the workers
 	// across all backends (default 16); submissions beyond a backend's
@@ -62,28 +66,29 @@ type Options struct {
 	QueueDepth int
 	// Backends is the number of in-process execution lanes jobs are
 	// consistent-hash routed across (default 1, or 0 when Remotes are
-	// configured — a pure coordinator runs nothing locally). Remote lanes
-	// are additional: the ring spans Backends + len(Remotes) lanes.
+	// configured — a pure coordinator runs nothing locally). Each has its
+	// own worker handler. Remote lanes are additional: the ring spans
+	// Backends + len(Remotes) lanes.
 	Backends int
 	// Remotes lists worker base URLs ("http://host:port"); each becomes a
-	// Remote lane dispatching jobs to a peer mthserved -worker process.
+	// lane dispatching jobs to a peer mthserved -worker process.
 	Remotes []string
 	// RemoteWorkers is the concurrent-dispatch complement per remote lane
 	// (default 2): how many jobs one worker is sent at a time.
 	RemoteWorkers int
-	// LeaseDuration bounds remote job ownership (default 15s): a dispatched
-	// job whose worker stops answering heartbeats for this long is
-	// re-routed to another lane.
+	// LeaseDuration bounds a lane's job ownership (default 15s): a
+	// dispatched job whose worker stops answering heartbeats for this long
+	// is re-routed to another lane.
 	LeaseDuration time.Duration
 	// RerouteMax bounds how many times one job may move lanes after
 	// dispatch failures or lease expiries (default 3); past it the job
 	// fails with errs.ErrUnavailable.
 	RerouteMax int
-	// ProbeInterval is the health-prober heartbeat cadence per remote lane
+	// ProbeInterval is the health-prober heartbeat cadence per lane
 	// (default 2s).
 	ProbeInterval time.Duration
-	// BreakerThreshold consecutive dispatch/probe failures open a remote
-	// lane's circuit (default 3).
+	// BreakerThreshold consecutive dispatch/probe failures open a lane's
+	// circuit (default 3).
 	BreakerThreshold int
 	// BreakerCooldown is the open → half-open delay (default 2×
 	// ProbeInterval).
@@ -165,7 +170,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Scheduler runs placement jobs from bounded per-backend queues.
+// Scheduler runs placement jobs from bounded per-lane queues.
 type Scheduler struct {
 	opt   Options
 	pool  *par.Pool // shared budget for jobs without a private bound
@@ -177,7 +182,8 @@ type Scheduler struct {
 	results *store.Results
 	traces  *store.Traces // per-job distributed span sets
 
-	backends []Backend
+	backends []*Lane
+	workers  []*WorkerHandler // the in-process lanes' workers, for SetExec
 	ring     *ring
 
 	// reg is this scheduler's private metric registry and the only store
@@ -201,7 +207,7 @@ type Scheduler struct {
 	baseCtx    context.Context // parent of every job context
 	baseCancel context.CancelFunc
 
-	// Lease monitor lifetime (armed only when remote lanes exist).
+	// Lease monitor lifetime.
 	leaseStop chan struct{}
 	leaseWG   sync.WaitGroup
 
@@ -210,9 +216,6 @@ type Scheduler struct {
 	order     []string // submission order, for stable listings
 	accepting bool
 	seq       atomic.Int64
-
-	// execFn runs a job's flows; tests swap it via SetExec.
-	execFn ExecFunc
 }
 
 // New starts a scheduler. When a journal directory is configured, jobs the
@@ -245,11 +248,10 @@ func New(opt Options) (*Scheduler, error) {
 	s.mFinished = s.reg.Counter("jobs_finished_total", "Jobs that reached a terminal state since server start.", nil)
 	s.mDegraded = s.reg.Counter("jobs_degraded", "Jobs that settled below the ILP-optimum solve rung.", nil)
 	s.mRetries = s.reg.Counter("job_retries", "Transient-failure re-executions.", nil)
-	s.mPanics = s.reg.Counter("job_panics", "Panics recovered at the worker boundary.", nil)
+	s.mPanics = s.reg.Counter("job_panics", "Job attempts that failed with a recovered panic.", nil)
 	s.mInflight = s.reg.Gauge("jobs_inflight", "Jobs currently running (started minus finished).", nil)
 	s.mReroutes = s.reg.Counter("job_reroutes_total", "Jobs moved to another lane after a dispatch failure or lease expiry.", nil)
-	s.mLeaseExp = s.reg.Counter("lease_expirations_total", "Remote job leases that expired without a result.", nil)
-	s.execFn = s.execute
+	s.mLeaseExp = s.reg.Counter("lease_expirations_total", "Job leases that expired without a result.", nil)
 
 	if s.cache = store.NewCache(opt.CacheEntries); s.cache != nil {
 		s.mCacheHits, s.mCacheMisses = obs.CacheHits(s.reg), obs.CacheMisses(s.reg)
@@ -283,22 +285,28 @@ func New(opt Options) (*Scheduler, error) {
 	// queue is sized past its configured share by however many of the
 	// journal's jobs route to it.
 	replayed, perLane := s.prepareReplay(pending, lanes)
-	for i := 0; i < opt.Backends; i++ {
-		s.backends = append(s.backends,
-			NewLocal(fmt.Sprintf("local-%d", i), share(opt.Workers, opt.Backends, i), share(opt.QueueDepth, lanes, i)+perLane[i]))
-	}
-	for ri, addr := range opt.Remotes {
-		i := opt.Backends + ri
-		s.backends = append(s.backends, NewRemote(fmt.Sprintf("remote-%d", ri), RemoteOptions{
-			Addr:             addr,
-			Dispatchers:      opt.RemoteWorkers,
+	for i := 0; i < lanes; i++ {
+		lo := LaneOptions{
 			Depth:            share(opt.QueueDepth, lanes, i) + perLane[i],
 			ProbeInterval:    opt.ProbeInterval,
 			BreakerThreshold: opt.BreakerThreshold,
 			BreakerCooldown:  opt.BreakerCooldown,
 			Registry:         s.reg,
 			OnSpans:          s.ingestWorkerSpans,
-		}))
+		}
+		name := fmt.Sprintf("local-%d", i)
+		if i < opt.Backends {
+			// One worker per in-process lane, with as many slots as the lane
+			// has dispatchers, so it never answers 503.
+			lo.Dispatchers = share(opt.Workers, opt.Backends, i)
+			w := newWorker(WorkerOptions{Slots: lo.Dispatchers, DefaultSolver: opt.DefaultSolver, Logger: s.log}, s.pool)
+			lo.Client = &http.Client{Transport: handlerTransport{w}}
+			s.workers = append(s.workers, w)
+		} else {
+			name = fmt.Sprintf("remote-%d", i-opt.Backends)
+			lo.Addr, lo.Dispatchers = opt.Remotes[i-opt.Backends], opt.RemoteWorkers
+		}
+		s.backends = append(s.backends, NewLane(name, lo))
 	}
 	// Pre-register each lane's RED series so a scrape shows the families
 	// (with zero values) before the first job lands.
@@ -319,18 +327,10 @@ func New(opt Options) (*Scheduler, error) {
 		}
 	}
 	for _, b := range s.backends {
-		b.Start(s.runnerFor(b))
+		b.Start(func(jb *Job) { s.runJobOn(b, jb) })
 	}
-	if len(opt.Remotes) > 0 {
-		s.startLeaseLoop()
-	}
+	s.startLeaseLoop()
 	return s, nil
-}
-
-// runnerFor binds a lane to the job-lifecycle loop, so the loop knows
-// whether to execute in process or dispatch over the wire.
-func (s *Scheduler) runnerFor(b Backend) func(*Job) {
-	return func(jb *Job) { s.runJobOn(b, jb) }
 }
 
 // share splits total across n lanes as evenly as possible, never below 1:
@@ -486,31 +486,26 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 	}
 }
 
-// SetExec swaps the job-execution function. It exists for tests that need
-// controllable flows (panics, transients, slow jobs); production wiring
-// never calls it. Must be called before any job runs.
+// SetExec swaps the job-execution function of every in-process lane's
+// worker. It exists for tests that need controllable flows (panics,
+// transients, slow jobs); production wiring never calls it. Must be called
+// before any job runs.
 func (s *Scheduler) SetExec(fn ExecFunc) {
-	s.mu.Lock()
-	s.execFn = fn
-	s.mu.Unlock()
+	for _, w := range s.workers {
+		w.SetExec(fn)
+	}
 }
 
-func (s *Scheduler) exec() ExecFunc {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.execFn
-}
-
-// runJobOn executes one attempt of a job on lane b: in process for local
-// lanes (a shared Runner drives the flows, which is what makes HTTP results
-// byte-identical to library results), over the wire for remote lanes.
-// Transient failures are retried with exponential backoff on the same lane;
-// a remote attempt that is still failing with ErrUnavailable after its
+// runJobOn executes one attempt of a job on lane b: the lane dispatches it
+// to its worker under a lease, and the worker drives the flows on a fresh
+// Runner, which is what makes HTTP results byte-identical to library
+// results. Transient failures are retried with exponential backoff on the
+// same lane; an attempt that is still failing with ErrUnavailable after its
 // retries is re-routed through the live ring instead of failing the job.
 // Every terminal effect is gated by beginFinish on the attempt's epoch, so
 // an attempt the lease monitor re-routed away commits nothing — the
 // exactly-once half of the lease protocol.
-func (s *Scheduler) runJobOn(b Backend, jb *Job) {
+func (s *Scheduler) runJobOn(b *Lane, jb *Job) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	if jb.req.TimeoutMS > 0 {
 		ctx, cancel = context.WithTimeout(s.baseCtx, time.Duration(jb.req.TimeoutMS)*time.Millisecond)
@@ -527,43 +522,40 @@ func (s *Scheduler) runJobOn(b Backend, jb *Job) {
 	if jb.countStart() {
 		s.mStarted.Inc()
 	}
-	rb, remote := b.(*Remote)
-	if remote {
-		deadline := time.Now().Add(s.opt.LeaseDuration)
-		jb.setLease(epoch, deadline)
-		s.journalLeased(jb, b.Name(), deadline)
-		stopRenew := s.startLeaseRenewal(ctx, jb, epoch, rb)
-		defer stopRenew()
-	}
+	deadline := time.Now().Add(s.opt.LeaseDuration)
+	jb.setLease(epoch, deadline)
+	s.journalLeased(jb, b.Name(), deadline)
+	stopRenew := s.startLeaseRenewal(ctx, jb, epoch, b)
+	defer stopRenew()
 	log.Debug("job started", "testcase", jb.spec.Name(), "lane", b.Name())
 	start := time.Now()
 
 	// This attempt's share of the distributed trace: a dispatch span under
-	// the job's root, with the attempt's flow/solver spans (local execution)
-	// or the WireJob traceparent (remote dispatch) nesting under it. The
-	// records are ingested on every exit path — a failed or re-routed
-	// attempt's timeline is part of the job's story.
+	// the job's root, with the worker's execute span and the flow/solver
+	// spans under it (the WireJob carries its traceparent). The records are
+	// ingested on every exit path — a failed or re-routed attempt's timeline
+	// is part of the job's story — and the dispatch span ends there, once.
 	tr := obs.NewTracerFor(procCoordinator)
 	tctx := obs.WithSpanContext(obs.WithTracer(ctx, tr), jb.rootSpan())
-	laneOutcome := "ok"
-	defer func() {
-		s.recordLaneAttempt(b.Name(), laneOutcome, time.Since(start))
-		s.ingestAttempt(jb, tr.Records())
-	}()
 	dctx, dsp := obs.StartSpanCtx(tctx, "dispatch")
 	dsp.SetArg("lane", b.Name())
 	dsp.SetArg("epoch", epoch)
-	defer dsp.End()
+	laneOutcome := "ok"
+	defer func() {
+		dsp.End()
+		s.recordLaneAttempt(b.Name(), laneOutcome, time.Since(start))
+		s.ingestAttempt(jb, tr.Records())
+	}()
+	// Solver progress (stage transitions, solver incumbents, k-means
+	// iterations) streams into the job's live view when the worker runs in
+	// this process; the in-memory transport hands it this context.
+	dctx = obs.WithProgress(dctx, jb.noteProgress)
 
 	var res *ExecResult
 	var err error
 	for attempt := 0; ; attempt++ {
 		jb.noteAttempt()
-		if remote {
-			res, err = rb.Execute(dctx, jb)
-		} else {
-			res, err = s.safeExec(dctx, jb)
-		}
+		res, err = b.Execute(dctx, jb)
 		if err == nil {
 			err = errs.FromContext(ctx) // classify deadline vs cancel post-hoc
 		}
@@ -581,7 +573,10 @@ func (s *Scheduler) runJobOn(b Backend, jb *Job) {
 	if err != nil {
 		dsp.SetArg("error", err.Error())
 	}
-	if remote && err != nil && ctx.Err() == nil && errors.Is(err, errs.ErrUnavailable) {
+	if errors.Is(err, errs.ErrPanic) {
+		s.mPanics.Inc()
+	}
+	if err != nil && ctx.Err() == nil && errors.Is(err, errs.ErrUnavailable) {
 		// The lane, not the job, is the problem: move the job elsewhere.
 		if s.reroute(jb, epoch) {
 			laneOutcome = "rerouted"
@@ -602,6 +597,9 @@ func (s *Scheduler) runJobOn(b Backend, jb *Job) {
 		s.mDegraded.Inc()
 	}
 	if err == nil && res != nil {
+		for id, d := range res.Durations {
+			s.stats.recordFlow(id, d)
+		}
 		s.results.Put(&store.Outcome{Job: jb.ID, Metrics: res.Metrics, Placements: res.Placements})
 		// Only deterministic results are cacheable: a degraded solve's
 		// output depends on wall-clock budgets, so replaying it would break
@@ -626,22 +624,7 @@ func (s *Scheduler) runJobOn(b Backend, jb *Job) {
 	} else {
 		log.Info("job done", "dur", time.Since(start))
 	}
-	dsp.End()
 	s.traceRoot(jb)
-}
-
-// safeExec runs the job's flows behind a recover boundary. The flow layer
-// has its own boundary, so this one catches what remains: bugs in the
-// scheduler itself, test stubs, and anything a future ExecFunc does wrong.
-// One panicking job must cost exactly one 500, never the daemon.
-func (s *Scheduler) safeExec(ctx context.Context, jb *Job) (res *ExecResult, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.mPanics.Inc()
-			err = errs.FromPanic(rec, "scheduler: job %s", jb.ID)
-		}
-	}()
-	return s.exec()(ctx, jb)
 }
 
 // shouldRetry allows another attempt only for transient failures, within
@@ -702,30 +685,6 @@ func terminalEvent(jb *Job) string {
 	default:
 		return journal.EventDone
 	}
-}
-
-// execute is the production ExecFunc: it drives the shared RunRequest core
-// (also used verbatim by the worker-mode server) with this scheduler's
-// pool, solver default and latency stats.
-func (s *Scheduler) execute(ctx context.Context, jb *Job) (*ExecResult, error) {
-	// Solver progress (stage transitions, solver incumbents, k-means
-	// iterations) streams into the job's live view; the job's logger is
-	// scoped with its ID and trace so concurrent jobs' diagnostics stay
-	// attributable and grep-able by trace ID across processes.
-	ctx = obs.WithProgress(ctx, jb.noteProgress)
-	ctx = obs.WithLogger(ctx, s.log.With("job", jb.ID, "trace_id", jb.TraceID()))
-	solver := jb.req.Solver
-	if solver == "" {
-		solver = s.opt.DefaultSolver
-	}
-	// Profiler labels make a CPU profile attributable the same way: samples
-	// under a hot solver goroutine carry the job and solver that ran it.
-	var res *ExecResult
-	var err error
-	pprof.Do(ctx, pprof.Labels("job", jb.ID, "solver", solver), func(ctx context.Context) {
-		res, err = RunRequest(ctx, jb.Request(), s.pool, s.opt.DefaultSolver, s.stats.recordFlow)
-	})
-	return res, err
 }
 
 // PlacementDigest is the SHA-256 of the design's instance positions in
@@ -924,9 +883,8 @@ func (s *Scheduler) Accepting() bool {
 	return s.accepting
 }
 
-// BackendStat describes one execution lane for /stats. The remote-only
-// fields (Addr, Circuit, RTT, DispatchFailures) are omitted for local
-// lanes.
+// BackendStat describes one execution lane for /stats. Addr is empty for
+// in-process lanes; RTT and DispatchFailures are omitted while zero.
 type BackendStat struct {
 	Name     string `json:"name"`
 	Depth    int    `json:"depth"`
@@ -970,7 +928,7 @@ type StatsSnapshot struct {
 	Retries       int64
 	Panics        int64
 	// Reroutes counts jobs moved to another lane after a dispatch failure
-	// or lease expiry; LeaseExpirations counts remote leases that lapsed.
+	// or lease expiry; LeaseExpirations counts leases that lapsed.
 	Reroutes         int64
 	LeaseExpirations int64
 	FlowLatency      map[string]FlowLatency
@@ -1019,16 +977,12 @@ func (s *Scheduler) Stats() StatsSnapshot {
 	for _, b := range s.backends {
 		bs := BackendStat{
 			Name: b.Name(), Depth: b.Depth(), Capacity: b.Capacity(), Workers: b.Workers(),
+			Addr: b.Addr(), Circuit: b.CircuitState(),
+			HeartbeatRTTms: b.rtt.Value() * 1e3, DispatchFailures: b.fails.Value(),
 		}
 		snap.QueueDepth += bs.Depth
 		snap.QueueCapacity += bs.Capacity
 		snap.Workers += bs.Workers
-		if rb, ok := b.(*Remote); ok {
-			bs.Addr = rb.Addr()
-			bs.Circuit = rb.CircuitState()
-			bs.HeartbeatRTTms = rb.rtt.Value() * 1e3
-			bs.DispatchFailures = rb.fails.Value()
-		}
 		snap.Backends = append(snap.Backends, bs)
 	}
 	for _, id := range s.order {

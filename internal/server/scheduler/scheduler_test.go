@@ -318,7 +318,7 @@ func TestInstanceKeyJournalRoundTrip(t *testing.T) {
 // is time-dependent, so it must never populate the cache.
 func TestDegradedResultNotCached(t *testing.T) {
 	s := newSched(t, Options{Workers: 1, CacheEntries: 16})
-	s.SetExec(func(ctx context.Context, jb *Job) (*ExecResult, error) {
+	s.SetExec(func(ctx context.Context, req JobRequest) (*ExecResult, error) {
 		return &ExecResult{
 			Metrics:    map[flow.ID]flow.Metrics{flow.Flow5: {Flow: flow.Flow5, SolveDegraded: true, SolveRung: "anytime"}},
 			Placements: map[flow.ID]string{flow.Flow5: "digest"},

@@ -122,7 +122,7 @@ func TestStatsCapacitySumsLanes(t *testing.T) {
 	s := newSched(t, Options{Workers: 1, QueueDepth: 1, Backends: 2})
 	release := make(chan struct{})
 	defer close(release)
-	s.SetExec(func(ctx context.Context, jb *Job) (*ExecResult, error) {
+	s.SetExec(func(ctx context.Context, req JobRequest) (*ExecResult, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():

@@ -51,17 +51,19 @@ func topo(t *testing.T, recs []obs.SpanRecord) traceTopology {
 	return tt
 }
 
-// TestTraceLifecycleLocal: a locally executed job submitted with a client
-// traceparent yields one merged timeline — a single "job" root parented
-// under the client's span, a dispatch span under the root, and every record
+// TestTraceLifecycleLocal: a job run on an in-process lane, submitted with
+// a client traceparent, yields one merged timeline of the same shape as a
+// remote job's — a single "job" root parented under the client's span, a
+// dispatch span under the root, the worker's execute span under that and
+// the flow spans under execute on the lane's track, and every record
 // sharing the client's TraceID.
 func TestTraceLifecycleLocal(t *testing.T) {
 	s := newSched(t, Options{Workers: 1})
-	s.SetExec(func(ctx context.Context, jb *Job) (*ExecResult, error) {
+	s.SetExec(func(ctx context.Context, req JobRequest) (*ExecResult, error) {
 		// A span from inside execution, as flow stages would record.
 		sp := obs.StartSpan(ctx, "flow.solve")
 		sp.End()
-		return stubResult(jb.Request()), nil
+		return stubResult(req), nil
 	})
 	jb := submitWait(t, s, JobRequest{Testcase: "aes_300", Scale: 0.02, Solver: "greedy", Traceparent: clientTP})
 
@@ -86,7 +88,8 @@ func TestTraceLifecycleLocal(t *testing.T) {
 	if len(tt.orphans) != 0 {
 		t.Errorf("orphan spans: %+v", tt.orphans)
 	}
-	var dispatch, solve bool
+	var dispatch, execute, solve bool
+	dispatches := 0
 	for _, r := range recs {
 		if r.TraceID != root.TraceID {
 			t.Errorf("record %q has trace %q, want %q", r.Name, r.TraceID, root.TraceID)
@@ -94,15 +97,30 @@ func TestTraceLifecycleLocal(t *testing.T) {
 		switch r.Name {
 		case "dispatch":
 			dispatch = true
+			dispatches++
 			if r.Parent != root.SpanID {
 				t.Errorf("dispatch parented under %q, want root %q", r.Parent, root.SpanID)
 			}
+		case "execute":
+			execute = true
+			if tt.byID[r.Parent].Name != "dispatch" {
+				t.Errorf("execute parented under %q, want the dispatch span", tt.byID[r.Parent].Name)
+			}
 		case "flow.solve":
 			solve = true
+			if tt.byID[r.Parent].Name != "execute" {
+				t.Errorf("flow.solve parented under %q, want the execute span", tt.byID[r.Parent].Name)
+			}
+		}
+		if (r.Name == "execute" || r.Name == "flow.solve") && r.Proc != "local-0" {
+			t.Errorf("%s span on track %q, want the lane's (local-0)", r.Name, r.Proc)
 		}
 	}
-	if !dispatch || !solve {
-		t.Errorf("missing spans: dispatch=%v flow.solve=%v in %+v", dispatch, solve, recs)
+	if !dispatch || !execute || !solve {
+		t.Errorf("missing spans: dispatch=%v execute=%v flow.solve=%v in %+v", dispatch, execute, solve, recs)
+	}
+	if dispatches != 1 {
+		t.Errorf("one attempt recorded %d dispatch spans, want 1", dispatches)
 	}
 
 	// The merged export must be valid Chrome trace_event JSON.
@@ -167,7 +185,7 @@ func TestTraceRemoteMerge(t *testing.T) {
 // span flagged cache_hit plus a cache_hit instant — under the client trace.
 func TestTraceCacheHit(t *testing.T) {
 	s := newSched(t, Options{Workers: 1, CacheEntries: 16})
-	s.SetExec(func(_ context.Context, jb *Job) (*ExecResult, error) { return stubResult(jb.Request()), nil })
+	s.SetExec(func(_ context.Context, req JobRequest) (*ExecResult, error) { return stubResult(req), nil })
 	req := JobRequest{Testcase: "aes_300", Scale: 0.02, Solver: "greedy"}
 	submitWait(t, s, req)
 	req.Traceparent = clientTP
@@ -204,12 +222,12 @@ func TestTraceCacheHit(t *testing.T) {
 func TestInflightExactAfterRequeueCancel(t *testing.T) {
 	s := newSched(t, Options{Workers: 1, RerouteMax: 4})
 	release := make(chan struct{})
-	s.SetExec(func(ctx context.Context, jb *Job) (*ExecResult, error) {
+	s.SetExec(func(ctx context.Context, req JobRequest) (*ExecResult, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
 		}
-		return stubResult(jb.Request()), nil
+		return stubResult(req), nil
 	})
 	jb, err := s.Submit(JobRequest{Testcase: "aes_300", Scale: 0.02, Solver: "greedy"})
 	if err != nil {

@@ -12,8 +12,8 @@ import (
 	"mthplace/internal/par"
 )
 
-// Worker-mode API paths. A peer mthserved running with -worker serves these
-// two endpoints; the Remote backend is their only intended client.
+// Worker API paths, served by WorkerHandler (in process, or by a peer
+// mthserved -worker); a Lane is their only intended client.
 const (
 	// WorkerExecutePath accepts a POSTed WireJob, runs it synchronously,
 	// and answers with a WireResult. Canceling the request cancels the job.
@@ -55,8 +55,11 @@ type WireJob struct {
 type WireResult struct {
 	Metrics    map[flow.ID]flow.Metrics `json:"metrics,omitempty"`
 	Placements map[flow.ID]string       `json:"placements,omitempty"`
-	Error      string                   `json:"error,omitempty"`
-	Class      string                   `json:"class,omitempty"`
+	// Durations is each flow's run time, for the coordinator's /stats
+	// flow_latency.
+	Durations map[flow.ID]time.Duration `json:"durations_ns,omitempty"`
+	Error     string                    `json:"error,omitempty"`
+	Class     string                    `json:"class,omitempty"`
 	// Spans piggybacks the worker's trace records for this execution —
 	// present on errored results too (a failed attempt's timeline is part
 	// of the job's story). Timestamps are the worker's clock; the
@@ -126,11 +129,11 @@ func errorFromClass(class, msg string) error {
 }
 
 // RunRequest executes one job request's flows sequentially on a fresh
-// Runner, exactly like a direct flow.Runner caller would — the shared core
-// of the scheduler's local lanes and the worker-mode server, which is what
-// makes a remotely executed job's metrics byte-identical to a local run's.
-// pool may be nil (each flow then gets the runner default); onFlow, when
-// non-nil, observes each flow's completion latency.
+// Runner, exactly like a direct flow.Runner caller would — the worker's
+// default ExecFunc, which is what makes a job's metrics byte-identical to a
+// library run's on any lane. pool may be nil (each flow then gets the
+// runner default). The result records each flow's completion latency;
+// onFlow, when non-nil, also observes it as each flow finishes.
 func RunRequest(ctx context.Context, req JobRequest, pool *par.Pool, defaultSolver string, onFlow func(flow.ID, time.Duration)) (*ExecResult, error) {
 	spec, ids, err := req.validate()
 	if err != nil {
@@ -144,6 +147,7 @@ func RunRequest(ctx context.Context, req JobRequest, pool *par.Pool, defaultSolv
 	out := &ExecResult{
 		Metrics:    make(map[flow.ID]flow.Metrics, len(ids)),
 		Placements: make(map[flow.ID]string, len(ids)),
+		Durations:  make(map[flow.ID]time.Duration, len(ids)),
 	}
 	for _, id := range ids {
 		t0 := time.Now()
@@ -153,8 +157,9 @@ func RunRequest(ctx context.Context, req JobRequest, pool *par.Pool, defaultSolv
 		}
 		out.Metrics[id] = res.Metrics
 		out.Placements[id] = PlacementDigest(res.Design)
+		out.Durations[id] = time.Since(t0)
 		if onFlow != nil {
-			onFlow(id, time.Since(t0))
+			onFlow(id, out.Durations[id])
 		}
 	}
 	return out, nil

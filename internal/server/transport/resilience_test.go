@@ -22,7 +22,7 @@ import (
 // and no worker goroutine is lost.
 func TestJobPanicBecomesFailed500(t *testing.T) {
 	h := newHarness(t, scheduler.Options{Workers: 1})
-	h.setExec(func(ctx context.Context, jb *scheduler.Job) (map[flow.ID]flow.Metrics, error) {
+	h.setExec(func(ctx context.Context, _ scheduler.JobRequest) (map[flow.ID]flow.Metrics, error) {
 		panic("solver ate a null pointer")
 	})
 
@@ -58,7 +58,7 @@ func TestJobPanicBecomesFailed500(t *testing.T) {
 	}
 
 	// The worker survived: a healthy job on the same (sole) worker runs.
-	h.setExec(func(ctx context.Context, jb *scheduler.Job) (map[flow.ID]flow.Metrics, error) {
+	h.setExec(func(ctx context.Context, _ scheduler.JobRequest) (map[flow.ID]flow.Metrics, error) {
 		return map[flow.ID]flow.Metrics{flow.Flow5: {}}, nil
 	})
 	if st := h.waitState(h.submit(scheduler.JobRequest{Testcase: "aes_300"}), ""); st != scheduler.StateDone {
@@ -77,7 +77,7 @@ func TestJobPanicBecomesFailed500(t *testing.T) {
 func TestTransientFailureIsRetried(t *testing.T) {
 	h := newHarness(t, scheduler.Options{Workers: 1, MaxRetries: 3, RetryBase: time.Millisecond})
 	var calls atomic.Int64
-	h.setExec(func(ctx context.Context, jb *scheduler.Job) (map[flow.ID]flow.Metrics, error) {
+	h.setExec(func(ctx context.Context, _ scheduler.JobRequest) (map[flow.ID]flow.Metrics, error) {
 		if calls.Add(1) <= 2 {
 			return nil, errs.Transient("flaky dependency")
 		}
@@ -104,7 +104,7 @@ func TestTransientFailureIsRetried(t *testing.T) {
 func TestRetryBudgetExhausts(t *testing.T) {
 	h := newHarness(t, scheduler.Options{Workers: 1, MaxRetries: 2, RetryBase: time.Millisecond})
 	var calls atomic.Int64
-	h.setExec(func(ctx context.Context, jb *scheduler.Job) (map[flow.ID]flow.Metrics, error) {
+	h.setExec(func(ctx context.Context, _ scheduler.JobRequest) (map[flow.ID]flow.Metrics, error) {
 		calls.Add(1)
 		return nil, errs.Transient("still down")
 	})
@@ -130,7 +130,7 @@ func TestNonTransientNotRetried(t *testing.T) {
 	} {
 		h := newHarness(t, scheduler.Options{Workers: 1, MaxRetries: 3, RetryBase: time.Millisecond})
 		var calls atomic.Int64
-		h.setExec(func(ctx context.Context, jb *scheduler.Job) (map[flow.ID]flow.Metrics, error) {
+		h.setExec(func(ctx context.Context, _ scheduler.JobRequest) (map[flow.ID]flow.Metrics, error) {
 			calls.Add(1)
 			return nil, tc.fn()
 		})
@@ -148,7 +148,7 @@ func TestNonTransientNotRetried(t *testing.T) {
 // is flagged on the job view and counted in /stats.
 func TestDegradedJobSurfaced(t *testing.T) {
 	h := newHarness(t, scheduler.Options{Workers: 1})
-	h.setExec(func(ctx context.Context, jb *scheduler.Job) (map[flow.ID]flow.Metrics, error) {
+	h.setExec(func(ctx context.Context, _ scheduler.JobRequest) (map[flow.ID]flow.Metrics, error) {
 		return map[flow.ID]flow.Metrics{
 			flow.Flow5: {SolveRung: "anytime", SolveDegraded: true, SolveDegradeReason: "node-limit", SolveGap: 0.1},
 		}, nil
@@ -269,12 +269,13 @@ func TestJournalReplayRunsUnfinishedJob(t *testing.T) {
 }
 
 // TestJournalRecordsLifecycle: a journaled server writes
-// submitted/started/done for a normal job and canceled for a queued
-// cancel, so a restart never replays finished work.
+// submitted/started/leased/done for a normal job — an in-process lane
+// leases its jobs like any other — so a restart never replays finished
+// work.
 func TestJournalRecordsLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	h := newJournalHarness(t, dir, scheduler.Options{Workers: 1})
-	h.setExec(func(ctx context.Context, jb *scheduler.Job) (map[flow.ID]flow.Metrics, error) {
+	h.setExec(func(ctx context.Context, _ scheduler.JobRequest) (map[flow.ID]flow.Metrics, error) {
 		return map[flow.ID]flow.Metrics{flow.Flow5: {}}, nil
 	})
 	id := h.submit(scheduler.JobRequest{Testcase: "aes_300"})
@@ -291,7 +292,7 @@ func TestJournalRecordsLifecycle(t *testing.T) {
 			events = append(events, e.Event)
 		}
 	}
-	want := []string{journal.EventSubmitted, journal.EventStarted, journal.EventDone}
+	want := []string{journal.EventSubmitted, journal.EventStarted, journal.EventLeased, journal.EventDone}
 	if len(events) != len(want) {
 		t.Fatalf("events = %v, want %v", events, want)
 	}

@@ -52,12 +52,12 @@ func serve(t *testing.T, s *scheduler.Scheduler) *testHarness {
 
 // metricsExec is the signature of a stub executor that yields only flow
 // metrics.
-type metricsExec func(context.Context, *scheduler.Job) (map[flow.ID]flow.Metrics, error)
+type metricsExec func(context.Context, scheduler.JobRequest) (map[flow.ID]flow.Metrics, error)
 
 // setExec swaps the scheduler's executor for a metrics-only stub.
 func (h *testHarness) setExec(fn metricsExec) {
-	h.sched.SetExec(func(ctx context.Context, jb *scheduler.Job) (*scheduler.ExecResult, error) {
-		m, err := fn(ctx, jb)
+	h.sched.SetExec(func(ctx context.Context, req scheduler.JobRequest) (*scheduler.ExecResult, error) {
+		m, err := fn(ctx, req)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +216,7 @@ func TestSubmitValidation(t *testing.T) {
 // released (or canceled), making queue and cancellation behavior
 // deterministic.
 func blockingExec(release <-chan struct{}) metricsExec {
-	return func(ctx context.Context, jb *scheduler.Job) (map[flow.ID]flow.Metrics, error) {
+	return func(ctx context.Context, _ scheduler.JobRequest) (map[flow.ID]flow.Metrics, error) {
 		select {
 		case <-release:
 			return map[flow.ID]flow.Metrics{flow.Flow5: {Flow: flow.Flow5, HPWL: 42}}, nil
@@ -317,7 +317,7 @@ func TestErrorMapping(t *testing.T) {
 	for _, tc := range cases {
 		h := newHarness(t, scheduler.Options{Workers: 1})
 		failErr := tc.err
-		h.setExec(func(ctx context.Context, jb *scheduler.Job) (map[flow.ID]flow.Metrics, error) {
+		h.setExec(func(ctx context.Context, _ scheduler.JobRequest) (map[flow.ID]flow.Metrics, error) {
 			return nil, failErr
 		})
 		id := h.submit(scheduler.JobRequest{Testcase: "aes_300"})

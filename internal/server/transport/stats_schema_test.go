@@ -93,14 +93,12 @@ func statsSchema(t *testing.T, body map[string]any) map[string]map[string]string
 
 // TestStatsSchemaGolden pins /stats's key set and JSON value types against
 // testdata/stats_schema.json, for a coordinator with one local and one
-// remote lane that has served real jobs, a cache hit and a failed dispatch.
-// Regenerate with -update after an intended schema change.
+// remote lane that has served real jobs, a cache hit and a failed dispatch
+// on the remote lane. Regenerate with -update after an intended schema
+// change.
 func TestStatsSchemaGolden(t *testing.T) {
 	wk := httptest.NewServer(worker.New(worker.Options{Slots: 2, DefaultSolver: "greedy"}))
 	t.Cleanup(wk.Close)
-	// One refused dispatch makes the remote lane report dispatch_failures,
-	// a key /stats omits while it is zero. The retry lands the job.
-	t.Cleanup(fault.Install(fault.NewPlan(fault.Rule{Point: scheduler.FaultDispatch, Kind: fault.KindRefuse, Hit: 1})))
 
 	sched, err := scheduler.New(scheduler.Options{
 		Workers: 2, QueueDepth: 8, Backends: 1, Remotes: []string{wk.URL},
@@ -118,9 +116,9 @@ func TestStatsSchemaGolden(t *testing.T) {
 		_ = sched.Shutdown(ctx)
 	})
 
-	post := func(seed int) string {
+	post := func(seed int, cache string) string {
 		t.Helper()
-		body, _ := json.Marshal(scheduler.JobRequest{Testcase: "aes_300", Scale: 0.02, Flows: []int{5}, Seed: int64(seed)})
+		body, _ := json.Marshal(scheduler.JobRequest{Testcase: "aes_300", Scale: 0.02, Flows: []int{5}, Seed: int64(seed), Cache: cache})
 		resp, err := http.Post(web.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -146,13 +144,8 @@ func TestStatsSchemaGolden(t *testing.T) {
 		return m
 	}
 
-	// Eight seeds spread over both lanes (the ring is deterministic); the
-	// ninth submission repeats seed 1 for a cache hit.
-	var ids []string
-	for seed := 1; seed <= 8; seed++ {
-		ids = append(ids, post(seed))
-	}
-	for _, id := range ids {
+	wait := func(id string) *scheduler.Job {
+		t.Helper()
 		jb := sched.Job(id)
 		deadline := time.Now().Add(60 * time.Second)
 		for st, _ := jb.Snapshot(); !st.Terminal(); st, _ = jb.Snapshot() {
@@ -164,21 +157,42 @@ func TestStatsSchemaGolden(t *testing.T) {
 		if st, err := jb.Snapshot(); st != scheduler.StateDone {
 			t.Fatalf("job %s finished %q (%v)", id, st, err)
 		}
+		return jb
 	}
-	post(1)
 
+	// Eight seeds spread over both lanes (the ring is deterministic).
+	remoteSeed := 0
+	for seed := 1; seed <= 8; seed++ {
+		if jb := wait(post(seed, "")); jb.View().Backend == "remote-0" {
+			remoteSeed = seed
+		}
+	}
+	if remoteSeed == 0 {
+		t.Fatal("no seed in 1..8 ran on the remote lane")
+	}
+	// One refused dispatch makes the remote lane report dispatch_failures,
+	// a key /stats omits while it is zero: re-solving a remote seed (cache
+	// bypass keeps its lane) is the only dispatch the fault plan sees, and
+	// the retry lands the job.
+	t.Cleanup(fault.Install(fault.NewPlan(fault.Rule{Point: scheduler.FaultDispatch, Kind: fault.KindRefuse, Hit: 1})))
+	wait(post(remoteSeed, scheduler.CacheBypass))
+	post(1, "") // a cache hit
+
+	// Every lane heartbeats its worker, in process or not.
 	var body map[string]any
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		body = getStats()
 		lanes, _ := body["backends"].([]any)
+		local, _ := lanes[0].(map[string]any)
 		remote, _ := lanes[len(lanes)-1].(map[string]any)
+		_, localRTT := local["heartbeat_rtt_ms"]
 		_, rtt := remote["heartbeat_rtt_ms"]
 		_, fails := remote["dispatch_failures"]
-		if rtt && fails {
+		if localRTT && rtt && fails {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("remote lane never reported heartbeat and dispatch failure: %v", remote)
+			t.Fatalf("lanes never reported heartbeats and a remote dispatch failure: %v", lanes)
 		}
 	}
 	got := statsSchema(t, body)

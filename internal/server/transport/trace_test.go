@@ -24,7 +24,7 @@ func newTracedAPI(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetExec(func(ctx context.Context, _ *scheduler.Job) (*scheduler.ExecResult, error) {
+	s.SetExec(func(ctx context.Context, _ scheduler.JobRequest) (*scheduler.ExecResult, error) {
 		sp := obs.StartSpan(ctx, "flow.solve")
 		sp.End()
 		return &scheduler.ExecResult{}, nil
@@ -146,7 +146,8 @@ func TestMalformedTraceparentIgnored(t *testing.T) {
 
 // TestTraceEndpointServesChromeJSON: GET /v1/jobs/{id}/trace returns the
 // merged timeline as valid Chrome trace_event JSON containing the root job
-// span, the dispatch span, and the solver span under the client's trace.
+// span, the dispatch span, the worker's execute span and the solver span
+// under the client's trace.
 func TestTraceEndpointServesChromeJSON(t *testing.T) {
 	srv := newTracedAPI(t)
 	id := submitTraced(t, srv, clientTP)
@@ -182,7 +183,7 @@ func TestTraceEndpointServesChromeJSON(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"job", "dispatch", "flow.solve"} {
+	for _, want := range []string{"job", "dispatch", "execute", "flow.solve"} {
 		if !seen[want] {
 			t.Errorf("merged trace missing %q span (have %v)", want, seen)
 		}

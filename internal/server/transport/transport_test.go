@@ -24,7 +24,7 @@ func newBackpressuredAPI(t *testing.T, opt scheduler.Options) (*httptest.Server,
 		t.Fatal(err)
 	}
 	block := make(chan struct{})
-	s.SetExec(func(ctx context.Context, _ *scheduler.Job) (*scheduler.ExecResult, error) {
+	s.SetExec(func(ctx context.Context, _ scheduler.JobRequest) (*scheduler.ExecResult, error) {
 		select {
 		case <-block:
 		case <-ctx.Done():

@@ -17,7 +17,7 @@ import (
 	"mthplace/internal/server/worker"
 )
 
-func newWorkerServer(t *testing.T, opt worker.Options, exec worker.ExecFunc) (*worker.Handler, *httptest.Server) {
+func newWorkerServer(t *testing.T, opt worker.Options, exec scheduler.ExecFunc) (*worker.Handler, *httptest.Server) {
 	t.Helper()
 	h := worker.New(opt)
 	if exec != nil {
