@@ -544,48 +544,26 @@ func truncate(b []byte, n int) string {
 type handlerTransport struct{ h http.Handler }
 
 func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	sreq := req.Clone(req.Context()) // the handler side may annotate its request
-	if sreq.Body == nil {
-		sreq.Body = http.NoBody
-	}
 	w := &memResponse{header: http.Header{}, code: http.StatusOK}
-	t.h.ServeHTTP(w, sreq)
+	// A RoundTripper must not modify req, and ServeMux annotates the
+	// request it routes: the handler gets a copy.
+	t.h.ServeHTTP(w, req.Clone(req.Context()))
 	// Like a socket whose caller hung up: an answer written after the
 	// request died never arrives, and the worker has stashed its spans for
 	// the heartbeat drain instead.
 	if err := req.Context().Err(); err != nil {
 		return nil, err
 	}
-	return &http.Response{
-		Status:        http.StatusText(w.code),
-		StatusCode:    w.code,
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        w.header,
-		Body:          io.NopCloser(&w.body),
-		ContentLength: int64(w.body.Len()),
-		Request:       req,
-	}, nil
+	return &http.Response{StatusCode: w.code, Header: w.header, Body: io.NopCloser(&w.body), Request: req}, nil
 }
 
 // memResponse is the http.ResponseWriter handlerTransport records into.
 type memResponse struct {
 	header http.Header
 	code   int
-	wrote  bool
 	body   bytes.Buffer
 }
 
-func (m *memResponse) Header() http.Header { return m.header }
-
-func (m *memResponse) WriteHeader(code int) {
-	if !m.wrote {
-		m.code, m.wrote = code, true
-	}
-}
-
-func (m *memResponse) Write(p []byte) (int, error) {
-	m.wrote = true
-	return m.body.Write(p)
-}
+func (m *memResponse) Header() http.Header         { return m.header }
+func (m *memResponse) WriteHeader(code int)        { m.code = code }
+func (m *memResponse) Write(p []byte) (int, error) { return m.body.Write(p) }

@@ -294,11 +294,11 @@ func New(opt Options) (*Scheduler, error) {
 			Registry:         s.reg,
 			OnSpans:          s.ingestWorkerSpans,
 		}
-		name := fmt.Sprintf("local-%d", i)
+		var name string
 		if i < opt.Backends {
 			// One worker per in-process lane, with as many slots as the lane
 			// has dispatchers, so it never answers 503.
-			lo.Dispatchers = share(opt.Workers, opt.Backends, i)
+			name, lo.Dispatchers = fmt.Sprintf("local-%d", i), share(opt.Workers, opt.Backends, i)
 			w := newWorker(WorkerOptions{Slots: lo.Dispatchers, DefaultSolver: opt.DefaultSolver, Logger: s.log}, s.pool)
 			lo.Client = &http.Client{Transport: handlerTransport{w}}
 			s.workers = append(s.workers, w)
