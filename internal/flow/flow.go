@@ -533,9 +533,9 @@ func (r *Runner) runConstraint(ctx context.Context, id ID, withRoute bool) (*Res
 // The route/STA/power substrates are no slower than the solve stages, so
 // cancellation is only checked between them: in a traced paper_matrix pass
 // of cmd/bench (8 testcases at scale 0.03, 40 routes, 2-vCPU x86-64 host)
-// routing took 0.34–0.40 s in all (about 10 ms a call), STA 16 ms and
-// power 2 ms, against 0.34–0.38 s of RAP solve and 0.54–0.58 s of global
-// placement.
+// routing took 0.28–0.33 s in all (about 8 ms a call), STA 12–14 ms and
+// power 1.4–1.6 ms, against 0.26–0.30 s of RAP solve and 0.27–0.31 s of
+// global placement.
 func (r *Runner) routeAndSign(ctx context.Context, res *Result) error {
 	return stage(ctx, "route", func(ctx context.Context) error {
 		if err := errs.FromContext(ctx); err != nil {
