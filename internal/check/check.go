@@ -4,13 +4,24 @@
 // track-height, no overlaps, minority cells contained in the fence regions,
 // and the reported displacement/HPWL totals cross-checked against a naive
 // recompute. It deliberately re-derives everything (no reuse of the
-// legalizer's own verification or the netlist's cached accessors beyond pin
-// positions) so a bug in a production path cannot hide in its checker.
+// legalizer's code or the netlist's cached accessors beyond pin positions)
+// so a bug in a production path cannot hide in its checker. It is the only
+// definition of placement legality in the module: the legalizers place, and
+// this package judges.
 //
 // The auditors return a Report listing every violation instead of stopping
 // at the first, which makes negative tests and -verify diagnostics precise.
-// They are wired in three places: unit tests, flow.Runner behind
-// Config.Verify, and the rcplace -verify mode.
+// They are wired in at these call sites:
+//   - every flow that places onto a mixed stack (Flows 2–5 in
+//     flow.Runner.runConstraint and the FinFlex flow in
+//     flow.Runner.RunFinFlex) ends in Placement through the runner's shared
+//     epilogue, so no illegal placement is returned as a result;
+//   - heightswap.Optimize audits its final placement with Placement;
+//   - flow.Runner.VerifyResult runs every auditor, automatically behind
+//     Config.Verify and directly in the rcplace -verify mode;
+//   - the unit, chaos and golden tests;
+//   - legalize.VerifyMixed is a one-line wrapper over Placement, kept only
+//     for the frozen benchmark mirror in cmd/bench.
 package check
 
 import (

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mthplace/internal/celllib"
+	"mthplace/internal/check"
 	"mthplace/internal/geom"
 	"mthplace/internal/lefdef"
 	"mthplace/internal/legalize"
@@ -151,7 +152,7 @@ func TestEndToEndFinFlexLegal(t *testing.T) {
 	if err := legalize.FenceAware(context.Background(), d, ms, asg.SeedY, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := legalize.VerifyMixed(d, ms); err != nil {
+	if err := check.Placement(d, ms).Err(); err != nil {
 		t.Fatalf("finflex placement illegal: %v", err)
 	}
 }

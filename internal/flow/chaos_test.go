@@ -6,9 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"mthplace/internal/check"
 	"mthplace/internal/errs"
 	"mthplace/internal/fault"
-	"mthplace/internal/legalize"
 	"mthplace/internal/synth"
 )
 
@@ -70,9 +70,10 @@ func TestChaosFlows(t *testing.T) {
 		case res == nil:
 			t.Fatalf("seed %d %v: nil result without error", seed, id)
 		case id != Flow1:
-			// Verify already audited inside Run; re-check the core invariant
-			// so a regression in the Verify wiring cannot mask corruption.
-			if err := legalize.VerifyMixed(res.Design, res.Stack); err != nil {
+			// Run's epilogue and Config.Verify already audited it; re-check
+			// the core invariant so a regression in that wiring cannot mask
+			// corruption.
+			if err := check.Placement(res.Design, res.Stack).Err(); err != nil {
 				t.Fatalf("seed %d %v: corrupt placement after faults %+v: %v", seed, id, ev, err)
 			}
 		}

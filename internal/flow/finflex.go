@@ -59,18 +59,5 @@ func (r *Runner) RunFinFlex(ctx context.Context, pattern finflex.Pattern, withRo
 		return nil, fmt.Errorf("finflex legalization (pattern %v): %w", pattern, err)
 	}
 	met.LegalTime = time.Since(legalStart)
-	if err := legalize.VerifyMixed(d, asg.Stack); err != nil {
-		return nil, fmt.Errorf("finflex produced illegal placement: %w", err)
-	}
-	met.TotalTime = time.Since(start)
-	met.Displacement = d.Displacement(r.RefPos)
-	met.HPWL = d.TotalHPWL()
-
-	res := &Result{Design: d, Stack: asg.Stack, Metrics: met}
-	if withRoute {
-		if err := r.routeAndSign(ctx, res); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return r.finish(ctx, d, asg.Stack, met, start, withRoute)
 }

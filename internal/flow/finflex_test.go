@@ -4,27 +4,40 @@ import (
 	"context"
 	"testing"
 
+	"mthplace/internal/check"
 	"mthplace/internal/finflex"
-	"mthplace/internal/legalize"
 	"mthplace/internal/synth"
 	"mthplace/internal/tech"
 )
 
-func TestRunFinFlexAutoPattern(t *testing.T) {
-	r := newRunner(t, 0.02)
+// runFinFlexAudited runs the auto-fitted pattern with Config.Verify set, so
+// the run itself fails on any audit violation, and requires a clean full
+// audit of the result.
+func runFinFlexAudited(t *testing.T, r *Runner) *Result {
+	t.Helper()
+	r.Cfg.Verify = true
+	name := r.Spec.Name()
 	res, err := r.RunFinFlex(context.Background(), nil, false)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", name, err)
 	}
 	if res.Metrics.Flow != FlowFinFlex {
-		t.Errorf("flow tag = %v", res.Metrics.Flow)
+		t.Errorf("%s: flow tag = %v", name, res.Metrics.Flow)
 	}
-	if err := legalize.VerifyMixed(res.Design, res.Stack); err != nil {
-		t.Fatalf("finflex placement illegal: %v", err)
+	if err := check.Placement(res.Design, res.Stack).Err(); err != nil {
+		t.Fatalf("%s: finflex placement illegal: %v", name, err)
+	}
+	if err := r.VerifyResult(res).Err(); err != nil {
+		t.Fatalf("%s: finflex result fails the audit: %v", name, err)
 	}
 	if res.Metrics.HPWL <= 0 || res.Metrics.Displacement <= 0 {
-		t.Errorf("missing metrics: %+v", res.Metrics)
+		t.Errorf("%s: missing metrics: %+v", name, res.Metrics)
 	}
+	return res
+}
+
+func TestRunFinFlexAutoPattern(t *testing.T) {
+	res := runFinFlexAudited(t, newRunner(t, 0.02))
 	// Pattern structure: tall pairs appear at a fixed stride.
 	tall := res.Stack.PairsOf(tech.Tall7p5T)
 	if len(tall) < 2 {
@@ -35,6 +48,14 @@ func TestRunFinFlexAutoPattern(t *testing.T) {
 		if tall[k]-tall[k-1] != stride {
 			t.Fatalf("tall pairs not periodic: %v", tall)
 		}
+	}
+	// The audit also holds on the first Table II testcases at scale 0.03.
+	for _, spec := range synth.TableII()[:6] {
+		r, err := NewRunner(context.Background(), spec, testConfig(0.03))
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name(), err)
+		}
+		runFinFlexAudited(t, r)
 	}
 }
 
@@ -62,5 +83,4 @@ func TestRunFinFlexVsFlow5(t *testing.T) {
 	if float64(ff.Metrics.HPWL) < 0.9*float64(f5.Metrics.HPWL) {
 		t.Errorf("finflex HPWL %d improbably beats flow5 %d", ff.Metrics.HPWL, f5.Metrics.HPWL)
 	}
-	_ = synth.TableII
 }

@@ -506,19 +506,29 @@ func (r *Runner) runConstraint(ctx context.Context, id ID, withRoute bool) (*Res
 		return nil, err
 	}
 	met.LegalTime = time.Since(legalStart)
-	if err := legalize.VerifyMixed(d, stack); err != nil {
-		return nil, fmt.Errorf("flow %v produced illegal placement: %w", id, err)
+	return r.finish(ctx, d, stack, met, start, withRoute)
+}
+
+// finish is the epilogue of every flow that places onto a mixed stack
+// (runConstraint and RunFinFlex): the placement must pass the independent
+// legality auditor check.Placement, the same judge Config.Verify and
+// `rcplace -verify` use; then the run's wall time and quality metrics are
+// taken, the full VerifyResult audit runs when Config.Verify is set, and
+// the result is routed when asked.
+func (r *Runner) finish(ctx context.Context, d *netlist.Design, stack *rowgrid.MixedStack, met Metrics, start time.Time, withRoute bool) (*Result, error) {
+	if err := check.Placement(d, stack).Err(); err != nil {
+		return nil, fmt.Errorf("flow %v produced illegal placement: %w", met.Flow, err)
 	}
 	met.TotalTime = time.Since(start)
 	met.Displacement = d.Displacement(r.RefPos)
 	met.HPWL = d.TotalHPWL()
-	obs.Log(ctx).Debug("flow completed", "flow", id.String(), "rung", met.SolveRung,
+	obs.Log(ctx).Debug("flow completed", "flow", met.Flow.String(), "rung", met.SolveRung,
 		"displacement", met.Displacement, "hpwl", met.HPWL, "dur", met.TotalTime)
 
 	res := &Result{Design: d, Stack: stack, Metrics: met}
 	if r.Cfg.Verify {
 		if err := r.VerifyResult(res).Err(); err != nil {
-			return nil, fmt.Errorf("flow %v verification: %w", id, err)
+			return nil, fmt.Errorf("flow %v verification: %w", met.Flow, err)
 		}
 	}
 	if withRoute {

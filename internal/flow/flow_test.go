@@ -2,9 +2,12 @@ package flow
 
 import (
 	"context"
+	"strings"
 	"testing"
+	"time"
 
-	"mthplace/internal/legalize"
+	"mthplace/internal/check"
+	"mthplace/internal/geom"
 	"mthplace/internal/synth"
 	"mthplace/internal/tech"
 )
@@ -31,7 +34,7 @@ func TestRunnerPreparation(t *testing.T) {
 	if r.NminR < 1 {
 		t.Fatalf("NminR = %d", r.NminR)
 	}
-	if err := legalize.VerifyUniform(r.Base, r.Grid); err != nil {
+	if err := check.PlacementUniform(r.Base, r.Grid).Err(); err != nil {
 		t.Fatalf("base placement illegal: %v", err)
 	}
 	// Base must be in mLEF form.
@@ -67,7 +70,7 @@ func TestAllFlowsPostPlacement(t *testing.T) {
 				t.Errorf("%v: missing stack", id)
 				continue
 			}
-			if err := legalize.VerifyMixed(res.Design, res.Stack); err != nil {
+			if err := check.Placement(res.Design, res.Stack).Err(); err != nil {
 				t.Errorf("%v: illegal placement: %v", id, err)
 			}
 			// All row-constraint flows share the same N_minR (fairness).
@@ -172,5 +175,49 @@ func TestILPFlowsReportSolverStats(t *testing.T) {
 	}
 	if res.Metrics.RAPTime <= 0 {
 		t.Error("Flow4 must report RAP time")
+	}
+}
+
+// TestFinishRejectsIllegalPlacement drives the flows' shared epilogue with a
+// Flow 5 result made illegal after the fact: the legality audit must refuse
+// it and name the broken invariant.
+func TestFinishRejectsIllegalPlacement(t *testing.T) {
+	r := newRunner(t, 0.02)
+	ctx := context.Background()
+	res, err := r.Run(ctx, Flow5, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, stack := res.Design, res.Stack
+	if _, err := r.finish(ctx, d, stack, res.Metrics, time.Now(), false); err != nil {
+		t.Fatalf("legal Flow 5 result rejected: %v", err)
+	}
+	// Another instance of the same track-height as inst 0.
+	other := -1
+	for j, in := range d.Insts {
+		if j != 0 && in.TrueHeight() == d.Insts[0].TrueHeight() {
+			other = j
+			break
+		}
+	}
+	if other < 0 {
+		t.Fatal("no second instance of inst 0's track-height")
+	}
+	for _, tc := range []struct {
+		name, invariant string
+		corrupt         func()
+	}{
+		{"off its row", "[row-height]", func() { d.Insts[0].Pos.Y++ }},
+		{"overlapping", "[overlap]", func() { d.Insts[other].Pos = d.Insts[0].Pos }},
+	} {
+		saved := []geom.Point{d.Insts[0].Pos, d.Insts[other].Pos}
+		tc.corrupt()
+		_, err := r.finish(ctx, d, stack, res.Metrics, time.Now(), false)
+		if err == nil {
+			t.Errorf("%s: illegal placement accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.invariant) {
+			t.Errorf("%s: error does not name %s: %v", tc.name, tc.invariant, err)
+		}
+		d.Insts[0].Pos, d.Insts[other].Pos = saved[0], saved[1]
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"mthplace/internal/celllib"
+	"mthplace/internal/check"
 	"mthplace/internal/errs"
 	"mthplace/internal/legalize"
 	"mthplace/internal/netlist"
@@ -115,7 +116,7 @@ func Optimize(ctx context.Context, d *netlist.Design, ms *rowgrid.MixedStack, op
 		rep.WNSAfter, rep.TNSAfter = after.WNSps, after.TNSps
 		rep.LeakageDeltaNW += leakDelta
 	}
-	if err := legalize.VerifyMixed(d, ms); err != nil {
+	if err := check.Placement(d, ms).Err(); err != nil {
 		return nil, fmt.Errorf("heightswap: final placement illegal: %w", err)
 	}
 	return rep, nil

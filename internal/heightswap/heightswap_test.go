@@ -4,8 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"mthplace/internal/check"
 	"mthplace/internal/flow"
-	"mthplace/internal/legalize"
 	"mthplace/internal/synth"
 	"mthplace/internal/tech"
 )
@@ -35,7 +35,7 @@ func TestOptimizeKeepsLegality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := legalize.VerifyMixed(res.Design, res.Stack); err != nil {
+	if err := check.Placement(res.Design, res.Stack).Err(); err != nil {
 		t.Fatalf("placement illegal after swaps: %v", err)
 	}
 	if rep.WNSBefore > 0 || rep.WNSAfter > 0 {

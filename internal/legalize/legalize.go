@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"mthplace/internal/check"
 	"mthplace/internal/errs"
 	"mthplace/internal/geom"
 	"mthplace/internal/netlist"
@@ -342,61 +343,11 @@ func connectedPinCoords(d *netlist.Design, inst int32) (xs, ys []int64) {
 	return xs, ys
 }
 
-// VerifyUniform checks that every instance sits on the site grid inside a
-// row of the uniform grid with no overlaps.
-func VerifyUniform(d *netlist.Design, g rowgrid.PairGrid) error {
-	rowOf := func(in *netlist.Instance) (int64, error) {
-		off := in.Pos.Y - g.Y0
-		if off < 0 || off%g.RowH() != 0 || int(off/g.RowH()) >= g.NumRows() {
-			return 0, fmt.Errorf("y=%d not a uniform row", in.Pos.Y)
-		}
-		return in.Pos.Y, nil
-	}
-	return verify(d, rowOf, g.X0, g.X1)
-}
-
-// VerifyMixed checks legality on a mixed stack: every instance on the site
-// grid, in a single row of a pair matching its track-height, no overlaps.
+// VerifyMixed reports whether d is legal on the mixed stack ms, as judged
+// by the independent auditor check.Placement. Nothing in the flows calls
+// it: it exists only because the frozen benchmark mirror
+// (cmd/bench/mirror.go) times the flows' legality check under this name,
+// and it goes together with that mirror (ROADMAP item 1).
 func VerifyMixed(d *netlist.Design, ms *rowgrid.MixedStack) error {
-	rowOf := func(in *netlist.Instance) (int64, error) {
-		for _, p := range ms.PairsOf(in.TrueHeight()) {
-			lo, hi := ms.RowsOfPair(p)
-			if in.Pos.Y == lo || in.Pos.Y == hi {
-				return in.Pos.Y, nil
-			}
-		}
-		return 0, fmt.Errorf("y=%d is not a %s row", in.Pos.Y, in.TrueHeight())
-	}
-	return verify(d, rowOf, ms.X0, ms.X1)
-}
-
-func verify(d *netlist.Design, rowOf func(*netlist.Instance) (int64, error), x0, x1 int64) error {
-	type span struct {
-		lo, hi int64
-		id     int
-	}
-	byRow := map[int64][]span{}
-	for i, in := range d.Insts {
-		if in.Pos.X%d.Tech.SiteWidth != 0 {
-			return fmt.Errorf("legalize: inst %d (%s) x=%d off site grid", i, in.Name, in.Pos.X)
-		}
-		if in.Pos.X < x0 || in.Pos.X+in.Width() > x1 {
-			return fmt.Errorf("legalize: inst %d (%s) outside row span [%d,%d)", i, in.Name, x0, x1)
-		}
-		y, err := rowOf(in)
-		if err != nil {
-			return fmt.Errorf("legalize: inst %d (%s): %w", i, in.Name, err)
-		}
-		byRow[y] = append(byRow[y], span{in.Pos.X, in.Pos.X + in.Width(), i})
-	}
-	for y, spans := range byRow {
-		sort.Slice(spans, func(a, b int) bool { return spans[a].lo < spans[b].lo })
-		for k := 1; k < len(spans); k++ {
-			if spans[k].lo < spans[k-1].hi {
-				return fmt.Errorf("legalize: overlap in row y=%d between inst %d and %d",
-					y, spans[k-1].id, spans[k].id)
-			}
-		}
-	}
-	return nil
+	return check.Placement(d, ms).Err()
 }

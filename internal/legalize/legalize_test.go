@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"mthplace/internal/celllib"
+	"mthplace/internal/check"
 	"mthplace/internal/geom"
 	"mthplace/internal/lefdef"
 	"mthplace/internal/netlist"
@@ -161,7 +162,7 @@ func mixedDesign(t *testing.T) (*netlist.Design, rowgrid.PairGrid, *rowgrid.Mixe
 	if err := Uniform(d, g); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyUniform(d, g); err != nil {
+	if err := check.PlacementUniform(d, g).Err(); err != nil {
 		t.Fatalf("uniform placement illegal: %v", err)
 	}
 	// Build a mixed stack with enough minority pairs for the 7.5T area.
@@ -197,7 +198,7 @@ func TestRowConstraintLegalization(t *testing.T) {
 	if err := RowConstraint(context.Background(), d, ms); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyMixed(d, ms); err != nil {
+	if err := check.Placement(d, ms).Err(); err != nil {
 		t.Fatalf("row-constraint result illegal: %v", err)
 	}
 }
@@ -213,7 +214,7 @@ func TestFenceAwareLegalization(t *testing.T) {
 	if err := FenceAware(context.Background(), d, ms, seed, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyMixed(d, ms); err != nil {
+	if err := check.Placement(d, ms).Err(); err != nil {
 		t.Fatalf("fence-aware result illegal: %v", err)
 	}
 }
@@ -234,29 +235,38 @@ func TestFenceAwareImprovesHPWLOverSeed(t *testing.T) {
 }
 
 func TestVerifyCatchesViolations(t *testing.T) {
-	d, g, ms := mixedDesign(t)
+	d, _, ms := mixedDesign(t)
 	if err := RowConstraint(context.Background(), d, ms); err != nil {
 		t.Fatal(err)
+	}
+	if err := check.Placement(d, ms).Err(); err != nil {
+		t.Fatalf("row-constraint result illegal: %v", err)
+	}
+	// requireViolation asserts that the auditor flags inst under the named
+	// invariant class, not merely that it fails.
+	requireViolation := func(what, invariant string, inst int) {
+		t.Helper()
+		rep := check.Placement(d, ms)
+		for _, v := range rep.Violations {
+			if v.Invariant == invariant && v.Inst == inst {
+				return
+			}
+		}
+		t.Errorf("%s: want a %q violation on inst %d, got %v", what, invariant, inst, rep.Violations)
 	}
 	// Off-grid x.
 	save := d.Insts[0].Pos
 	d.Insts[0].Pos.X++
-	if err := VerifyMixed(d, ms); err == nil {
-		t.Error("off-grid x not caught")
-	}
+	requireViolation("off-grid x", "site-grid", 0)
 	d.Insts[0].Pos = save
 	// Wrong-height row.
 	wrongY := ms.Y[ms.PairsOf(d.Insts[0].TrueHeight().Other())[0]]
 	d.Insts[0].Pos.Y = wrongY
-	if err := VerifyMixed(d, ms); err == nil {
-		t.Error("wrong-height row not caught")
-	}
+	requireViolation("wrong-height row", "row-height", 0)
 	d.Insts[0].Pos = save
-	// Overlap.
+	// Overlap: the overlap scan names the later of the two cells in x
+	// order, and ties on x break by instance index.
 	d.Insts[1].Pos = d.Insts[0].Pos
 	d.Insts[1].Master = d.Insts[0].Master
-	if err := VerifyMixed(d, ms); err == nil {
-		t.Error("overlap not caught")
-	}
-	_ = g
+	requireViolation("overlap", "overlap", 1)
 }
