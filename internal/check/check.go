@@ -20,8 +20,8 @@
 //   - flow.Runner.VerifyResult runs every auditor, automatically behind
 //     Config.Verify and directly in the rcplace -verify mode;
 //   - the unit, chaos and golden tests;
-//   - legalize.VerifyMixed is a one-line wrapper over Placement, kept only
-//     for the frozen benchmark mirror in cmd/bench.
+//   - VerifyMixed in package legalize is a one-line wrapper over Placement,
+//     kept only for the frozen benchmark mirror in cmd/bench.
 package check
 
 import (

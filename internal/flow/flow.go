@@ -513,8 +513,8 @@ func (r *Runner) runConstraint(ctx context.Context, id ID, withRoute bool) (*Res
 // (runConstraint and RunFinFlex): the placement must pass the independent
 // legality auditor check.Placement, the same judge Config.Verify and
 // `rcplace -verify` use; then the run's wall time and quality metrics are
-// taken, the full VerifyResult audit runs when Config.Verify is set, and
-// the result is routed when asked.
+// taken, the rest of the VerifyResult audit runs when Config.Verify is set,
+// and the result is routed when asked.
 func (r *Runner) finish(ctx context.Context, d *netlist.Design, stack *rowgrid.MixedStack, met Metrics, start time.Time, withRoute bool) (*Result, error) {
 	if err := check.Placement(d, stack).Err(); err != nil {
 		return nil, fmt.Errorf("flow %v produced illegal placement: %w", met.Flow, err)
@@ -527,7 +527,7 @@ func (r *Runner) finish(ctx context.Context, d *netlist.Design, stack *rowgrid.M
 
 	res := &Result{Design: d, Stack: stack, Metrics: met}
 	if r.Cfg.Verify {
-		if err := r.VerifyResult(res).Err(); err != nil {
+		if err := r.auditBeyondPlacement(res).Err(); err != nil {
 			return nil, fmt.Errorf("flow %v verification: %w", met.Flow, err)
 		}
 	}
@@ -588,13 +588,23 @@ func (r *Runner) routeAndSign(ctx context.Context, res *Result) error {
 // Config.Verify set call it automatically and fail on violations; callers
 // such as `rcplace -verify` call it directly to render the full report.
 func (r *Runner) VerifyResult(res *Result) *check.Report {
+	var rep *check.Report
+	if res.Stack != nil {
+		rep = check.Placement(res.Design, res.Stack)
+	} else {
+		rep = check.PlacementUniform(res.Design, r.Grid)
+	}
+	return rep.Merge(r.auditBeyondPlacement(res))
+}
+
+// auditBeyondPlacement runs the VerifyResult auditors other than placement
+// legality: netlist integrity, fence containment for mixed results, and the
+// metric recompute. finish has already judged legality, so under
+// Config.Verify it adds only these.
+func (r *Runner) auditBeyondPlacement(res *Result) *check.Report {
 	rep := check.Netlist(res.Design)
 	if res.Stack != nil {
-		rep.Merge(check.Placement(res.Design, res.Stack))
 		rep.Merge(check.Fences(res.Design, res.Stack))
-	} else {
-		rep.Merge(check.PlacementUniform(res.Design, r.Grid))
 	}
-	rep.Merge(check.Metrics(res.Design, r.RefPos, res.Metrics.Displacement, res.Metrics.HPWL))
-	return rep
+	return rep.Merge(check.Metrics(res.Design, r.RefPos, res.Metrics.Displacement, res.Metrics.HPWL))
 }
