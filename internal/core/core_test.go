@@ -373,10 +373,26 @@ func TestValidBackend(t *testing.T) {
 	}
 }
 
+// TestAssignRowsEndToEnd runs the four stages of the proposed row
+// assignment, as flow.Runner stages them.
 func TestAssignRowsEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	d, g := placedDesign(t, 0.02)
 	nMinR := nMinRFor(d, g)
-	ra, err := AssignRows(context.Background(), d, g, nMinR, DefaultOptions())
+	opt := DefaultOptions()
+	cl, err := BuildClusters(ctx, d, opt.S, opt.KMeansIters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := BuildModel(ctx, d, g, cl, nMinR, opt.Cost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := Solve(ctx, model, opt.Solve)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra, err := Finalize(d, g, model, cl, sol)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -497,7 +497,8 @@ func indexSeq(n int) []int {
 	return out
 }
 
-// RowAssignment is the complete outcome of AssignRows: the restacked die and
+// RowAssignment is the complete outcome of the proposed row assignment
+// (BuildClusters, BuildModel, Solve, then Finalize): the restacked die and
 // the minority-cell seeding derived from the cluster assignment.
 type RowAssignment struct {
 	// Heights is the per-pair track-height vector (uniform-grid order).
@@ -543,27 +544,6 @@ func DefaultOptions() Options {
 			TimeLimit:     12 * time.Second,
 		},
 	}
-}
-
-// AssignRows runs the full proposed row assignment on a design in mLEF form
-// placed on the uniform grid g: cluster, build the ILP cost model, solve,
-// restack the die, and derive the per-cell seeding. Each stage honours
-// ctx cancellation (see BuildClusters, BuildModel and Solve) and runs
-// its parallel parts on the pool carried by ctx.
-func AssignRows(ctx context.Context, d *netlist.Design, g rowgrid.PairGrid, nMinR int, opt Options) (*RowAssignment, error) {
-	cl, err := BuildClusters(ctx, d, opt.S, opt.KMeansIters)
-	if err != nil {
-		return nil, err
-	}
-	model, err := BuildModel(ctx, d, g, cl, nMinR, opt.Cost)
-	if err != nil {
-		return nil, err
-	}
-	sol, err := Solve(ctx, model, opt.Solve)
-	if err != nil {
-		return nil, err
-	}
-	return Finalize(d, g, model, cl, sol)
 }
 
 // Finalize converts a RAP solution into the restacked die and cell seeding.

@@ -400,9 +400,8 @@ func (r *Runner) runConstraint(ctx context.Context, id ID, withRoute bool) (*Res
 	var seedY map[int32]int64
 	var cellPair map[int32]int
 	if id.UsesILP() {
-		// The proposed assignment, staged explicitly (rather than through
-		// core.AssignRows) so clustering and the RAP solve sit behind their
-		// own fault points and stage spans.
+		// The proposed assignment, staged so clustering and the RAP solve
+		// sit behind their own fault points and stage spans.
 		rapStart := time.Now()
 		var cl *core.Clusters
 		var model *core.Model
