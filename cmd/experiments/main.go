@@ -12,6 +12,11 @@
 //	experiments -overhead          §IV-B.6   (overhead vs unconstrained)
 //	experiments -all               everything above
 //
+// One invocation runs each testcase's flows once: -table4, -table5, -fig5,
+// -profile and -overhead render views of one experiment matrix (routed
+// when -table5, -overhead or -all is set), and -fig4a and -ablation views
+// of one s-sweep.
+//
 // -scale shrinks every testcase proportionally (1.0 = paper-size designs);
 // the output records the scale used. -only restricts to testcases whose name
 // contains the given substring.
@@ -29,6 +34,7 @@ import (
 
 	"mthplace/internal/errs"
 	"mthplace/internal/exp"
+	"mthplace/internal/metrics"
 	"mthplace/internal/obs"
 	"mthplace/internal/synth"
 	"mthplace/pkg/mth"
@@ -94,135 +100,80 @@ func main() {
 	}
 
 	any := false
-	run := func(enabled bool, f func() error) {
-		if !(*all || enabled) {
+	want := func(enabled bool) bool {
+		any = any || *all || enabled
+		return *all || enabled
+	}
+	check := func(err error) {
+		if err == nil {
 			return
 		}
-		any = true
-		if err := f(); err != nil {
-			if errors.Is(err, errs.ErrTimeout) {
-				fmt.Fprintln(os.Stderr, "experiments: timed out after", *timeout)
-				os.Exit(124)
-			}
-			fatal(err)
+		if errors.Is(err, errs.ErrTimeout) {
+			fmt.Fprintln(os.Stderr, "experiments: timed out after", *timeout)
+			os.Exit(124)
 		}
+		fatal(err)
+	}
+	show := func(r interface{ Table() *metrics.Table }, err error) {
+		check(err)
+		r.Table().Render(os.Stdout)
+		fmt.Println()
+	}
+	// Tables IV–V, Fig. 5, the profile and the overhead study are views of
+	// one experiment matrix, and Fig. 4(a) and the ablation of one s-sweep:
+	// each is built once, on first use, and every output keeps its place.
+	var m *exp.Matrix
+	matrix := func() *exp.Matrix {
+		if m == nil {
+			var err error
+			m, err = exp.RunMatrix(ctx, cfg, *all || *table5 || *overhead)
+			check(err)
+		}
+		return m
+	}
+	var sw *exp.SSweep
+	sSweep := func() *exp.SSweep {
+		if sw == nil {
+			var err error
+			sw, err = exp.RunSSweep(ctx, cfg, nil)
+			check(err)
+		}
+		return sw
 	}
 
-	run(*table2, func() error {
-		r, err := exp.Table2(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		r.Table().Render(os.Stdout)
-		fmt.Println()
-		return nil
-	})
-	var t4 *exp.Table4Result
-	var t5 *exp.Table5Result
-	run(*table4, func() error {
-		r, err := exp.Table4(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		t4 = r
-		r.Table().Render(os.Stdout)
-		fmt.Println()
-		return nil
-	})
-	run(*table5 || *overhead, func() error {
-		r, err := exp.Table5(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		t5 = r
-		if *table5 || *all {
-			r.Table().Render(os.Stdout)
-			fmt.Println()
-		}
-		return nil
-	})
-	run(*fig4a, func() error {
-		r, err := exp.Fig4a(ctx, cfg, nil)
-		if err != nil {
-			return err
-		}
-		r.Table().Render(os.Stdout)
-		fmt.Println()
-		return nil
-	})
-	run(*fig4b, func() error {
-		r, err := exp.Fig4b(ctx, cfg, nil)
-		if err != nil {
-			return err
-		}
-		r.Table().Render(os.Stdout)
-		fmt.Println()
-		return nil
-	})
-	run(*fig5, func() error {
-		r, err := exp.Fig5(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		r.Table().Render(os.Stdout)
-		fmt.Println()
-		return nil
-	})
-	run(*ablation, func() error {
-		r, err := exp.Ablation(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		r.Table().Render(os.Stdout)
-		fmt.Println()
-		return nil
-	})
-	run(*profile, func() error {
-		r, err := exp.Profile(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		r.Table().Render(os.Stdout)
-		fmt.Println()
-		return nil
-	})
-	run(*finflex, func() error {
-		r, err := exp.FinFlexStudy(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		r.Table().Render(os.Stdout)
-		fmt.Println()
-		return nil
-	})
-	run(*swap, func() error {
-		r, err := exp.SwapStudy(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		r.Table().Render(os.Stdout)
-		fmt.Println()
-		return nil
-	})
-	run(*overhead, func() error {
-		if t4 == nil {
-			r, err := exp.Table4(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			t4 = r
-		}
-		if t5 == nil {
-			r, err := exp.Table5(ctx, cfg)
-			if err != nil {
-				return err
-			}
-			t5 = r
-		}
-		exp.Overhead(t4, t5).Table().Render(os.Stdout)
-		fmt.Println()
-		return nil
-	})
+	if want(*table2) {
+		show(exp.Table2(ctx, cfg))
+	}
+	if want(*table4) {
+		show(matrix().Table4(), nil)
+	}
+	if want(*table5) {
+		show(matrix().Table5())
+	}
+	if want(*fig4a) {
+		show(sSweep().Fig4a(), nil)
+	}
+	if want(*fig4b) {
+		show(exp.Fig4b(ctx, cfg, nil))
+	}
+	if want(*fig5) {
+		show(matrix().Fig5(), nil)
+	}
+	if want(*ablation) {
+		show(sSweep().Ablation())
+	}
+	if want(*profile) {
+		show(matrix().Profile(), nil)
+	}
+	if want(*finflex) {
+		show(exp.FinFlexStudy(ctx, cfg))
+	}
+	if want(*swap) {
+		show(exp.SwapStudy(ctx, cfg))
+	}
+	if want(*overhead) {
+		show(matrix().Overhead())
+	}
 
 	if !any {
 		flag.Usage()

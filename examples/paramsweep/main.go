@@ -29,10 +29,11 @@ func main() {
 	ctx := context.Background()
 
 	fmt.Println("sweeping clustering resolution s (Fig. 4a)...")
-	sweepS, err := exp.Fig4a(ctx, cfg, []float64{0.1, 0.2, 0.5, 1.0})
+	ss, err := exp.RunSSweep(ctx, cfg, []float64{0.1, 0.2, 0.5, 1.0})
 	if err != nil {
 		log.Fatal(err)
 	}
+	sweepS := ss.Fig4a()
 	sweepS.Table().Render(os.Stdout)
 	fmt.Printf("chosen s = %.2f\n\n", sweepS.Best)
 

@@ -28,10 +28,11 @@ func main() {
 		}
 	}
 
-	res, err := exp.Fig5(context.Background(), exp.Config{Scale: 0.05, Specs: specs})
+	m, err := exp.RunMatrix(context.Background(), exp.Config{Scale: 0.05, Specs: specs}, false)
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := m.Fig5()
 
 	fmt.Println("ILP runtime vs number of minority instances (Flow 5):")
 	maxT := 0.0

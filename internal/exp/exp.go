@@ -4,6 +4,13 @@
 // scaling), and the §IV-B ablations (clustering impact, runtime profile,
 // overhead vs the unconstrained placement).
 //
+// Like the paper, it takes Tables IV–V, Fig. 5, the profile and the
+// overhead study from one run per testcase and flow: RunMatrix runs the
+// five Table III flows once on every testcase, and those five results are
+// views of the Matrix it returns. Fig. 4(a) and the clustering ablation
+// are likewise views of one s-sweep (RunSSweep). Every driver prepares
+// its runners through one per-testcase fan-out (forEachSpec).
+//
 // Experiments run at a configurable design scale (Config.Scale): 1.0
 // regenerates paper-size designs; the recorded results in EXPERIMENTS.md
 // state the scale they were produced at. Scaling shrinks every testcase by
@@ -17,7 +24,9 @@ import (
 	"log/slog"
 	"time"
 
+	"mthplace/internal/baseline"
 	"mthplace/internal/celllib"
+	"mthplace/internal/core"
 	"mthplace/internal/flow"
 	"mthplace/internal/metrics"
 	"mthplace/internal/par"
@@ -49,18 +58,43 @@ func (c Config) withDefaults() Config {
 	if c.Specs == nil {
 		c.Specs = synth.TableII()
 	}
-	if c.Flow.FencePasses == 0 {
-		jobs, backend := c.Flow.Jobs, c.Flow.Core.Solve.Backend
-		c.Flow = flow.DefaultConfig()
-		c.Flow.Jobs = jobs
-		c.Flow.Core.Solve.Backend = backend
+	// Fill only the stage options left at zero from flow.DefaultConfig;
+	// everything else the caller set (Verify, Pool, Placer, Route, STA,
+	// Power, a solver backend) is kept.
+	def, f := flow.DefaultConfig(), &c.Flow
+	if s := f.Synth; s == (synth.Options{Scale: s.Scale, Seed: s.Seed}) {
+		f.Synth = def.Synth
 	}
-	c.Flow.Synth.Scale = c.Scale
-	c.Flow.Synth.Seed = c.Seed
+	f.Synth.Scale, f.Synth.Seed = c.Scale, c.Seed
+	if f.Core.S == 0 {
+		f.Core.S = def.Core.S
+	}
+	if f.Core.Cost == (core.CostParams{}) {
+		f.Core.Cost = def.Core.Cost
+	}
+	if solve := f.Core.Solve; solve == (core.SolveOptions{Backend: solve.Backend}) {
+		f.Core.Solve = def.Core.Solve
+		f.Core.Solve.Backend = solve.Backend
+	}
+	if f.Baseline == (baseline.Options{}) {
+		f.Baseline = def.Baseline
+	}
+	if f.FencePasses == 0 {
+		f.FencePasses = def.FencePasses
+	}
 	// Experiment drivers fan the per-spec loops out on the config's pool;
 	// resolve it once so every runner shares the same scoped bound (no
 	// global par.SetJobs side effect).
-	c.Flow.Pool = c.Flow.EffectivePool()
+	f.Pool = f.EffectivePool()
+	return c
+}
+
+// representative narrows the full Table II suite to the 14 testcases the
+// paper's parameter sweeps use; an explicit subset is kept as given.
+func (c Config) representative() Config {
+	if len(c.Specs) == 26 {
+		c.Specs = synth.ParameterSweepSpecs()
+	}
 	return c
 }
 
@@ -74,9 +108,25 @@ func (c Config) logf(format string, args ...any) {
 	}
 }
 
-// runner builds the shared starting point for one spec.
-func (c Config) runner(ctx context.Context, spec synth.Spec) (*flow.Runner, error) {
-	return flow.NewRunner(ctx, spec, c.Flow)
+// forEachSpec is the one per-testcase fan-out of every driver that runs
+// flows: it prepares one runner per spec of a defaulted config and calls fn
+// with it. Specs run concurrently on the config's pool (the work inside fn
+// stays sequential: it shares the runner); results come back in spec
+// order whatever the completion order.
+func forEachSpec[T any](ctx context.Context, cfg Config, fn func(r *flow.Runner) (T, error)) ([]T, error) {
+	return par.MapOn(cfg.Flow.Pool, len(cfg.Specs), func(si int) (T, error) {
+		spec := cfg.Specs[si]
+		r, err := flow.NewRunner(ctx, spec, cfg.Flow)
+		if err != nil {
+			var zero T
+			return zero, fmt.Errorf("exp: %s: %w", spec.Name(), err)
+		}
+		v, err := fn(r)
+		if err != nil {
+			return v, fmt.Errorf("exp: %s: %w", spec.Name(), err)
+		}
+		return v, nil
+	})
 }
 
 // ---------------------------------------------------------------- Table II
@@ -170,42 +220,82 @@ type Table4Result struct {
 	NormTime [4]float64
 }
 
-// Table4 runs flows (1)–(5) post-placement on every testcase. Testcases run
-// concurrently on the shared pool (the flows within one testcase stay
-// sequential — they share the runner); the ordered collector keeps rows and
-// the normalisation inputs in spec order regardless of completion order.
-func Table4(ctx context.Context, cfg Config) (*Table4Result, error) {
+// Matrix is one run of the five Table III flows on every testcase. It
+// keeps only each run's metrics (the designs are dropped as soon as they
+// are read), and Tables IV–V, Fig. 5, the §IV-B.3 profile and the §IV-B.6
+// overhead study are views of it that run nothing further.
+type Matrix struct {
+	Scale float64
+	// Routed reports that Flows 1, 2, 4 and 5 were routed and signed off.
+	// Flow 3 never is: Table V has no Flow 3 column.
+	Routed bool
+	Rows   []MatrixRow
+}
+
+// MatrixRow is one testcase's metrics, indexed by flow.ID − 1.
+type MatrixRow struct {
+	Name  string
+	Flows [5]flow.Metrics
+}
+
+// RunMatrix runs Flows 1–5 once, in order, on one runner per testcase;
+// routed also routes Flows 1, 2, 4 and 5 (Table V and the overhead study
+// need it).
+func RunMatrix(ctx context.Context, cfg Config, routed bool) (*Matrix, error) {
 	cfg = cfg.withDefaults()
-	out := &Table4Result{Scale: cfg.Scale}
-	rows, err := par.MapOn(cfg.Flow.Pool, len(cfg.Specs), func(si int) (Table4Row, error) {
-		spec := cfg.Specs[si]
-		r, err := cfg.runner(ctx, spec)
-		if err != nil {
-			return Table4Row{}, fmt.Errorf("exp: %s: %w", spec.Name(), err)
+	rows, err := forEachSpec(ctx, cfg, func(r *flow.Runner) (MatrixRow, error) {
+		row := MatrixRow{Name: r.Spec.Name()}
+		for _, id := range []flow.ID{flow.Flow1, flow.Flow2, flow.Flow3, flow.Flow4, flow.Flow5} {
+			res, err := r.Run(ctx, id, routed && id != flow.Flow3)
+			if err != nil {
+				return MatrixRow{}, fmt.Errorf("%v: %w", id, err)
+			}
+			row.Flows[id-1] = res.Metrics
 		}
-		results, err := r.RunAll(ctx, false)
-		if err != nil {
-			return Table4Row{}, fmt.Errorf("exp: %s: %w", spec.Name(), err)
-		}
-		row := Table4Row{Name: spec.Name()}
-		for k, id := range []flow.ID{flow.Flow2, flow.Flow3, flow.Flow4, flow.Flow5} {
-			row.Disp[k] = results[id].Metrics.Displacement
-			row.Time[k] = results[id].Metrics.TotalTime
-			row.Degraded[k] = results[id].Metrics.SolveDegraded
-		}
-		for k, id := range []flow.ID{flow.Flow1, flow.Flow2, flow.Flow3, flow.Flow4, flow.Flow5} {
-			row.HPWL[k] = results[id].Metrics.HPWL
-		}
-		cfg.logf("table4: %s disp2=%d disp4=%d hpwl2=%d hpwl5=%d",
-			spec.Name(), row.Disp[0], row.Disp[2], row.HPWL[1], row.HPWL[4])
+		f := &row.Flows
+		cfg.logf("matrix: %s disp2=%d disp4=%d hpwl2=%d hpwl5=%d wl5=%d",
+			row.Name, f[1].Displacement, f[3].Displacement, f[1].HPWL, f[4].HPWL, f[4].RoutedWL)
 		return row, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out.Rows = rows
+	return &Matrix{Scale: cfg.Scale, Routed: routed, Rows: rows}, nil
+}
+
+// needRoute is the one check behind the views that read post-route
+// metrics.
+func (m *Matrix) needRoute(view string) error {
+	if !m.Routed {
+		return fmt.Errorf("exp: %s needs a routed matrix", view)
+	}
+	return nil
+}
+
+// Table4 runs flows (1)–(5) post-placement on every testcase.
+func Table4(ctx context.Context, cfg Config) (*Table4Result, error) {
+	m, err := RunMatrix(ctx, cfg, false)
+	if err != nil {
+		return nil, err
+	}
+	return m.Table4(), nil
+}
+
+// Table4 is the Table IV view of the matrix.
+func (m *Matrix) Table4() *Table4Result {
+	out := &Table4Result{Scale: m.Scale}
 	var dispRows, hpwlRows, timeRows [][]float64
-	for _, row := range out.Rows {
+	for _, mr := range m.Rows {
+		row := Table4Row{Name: mr.Name}
+		for k, met := range mr.Flows[1:] {
+			row.Disp[k] = met.Displacement
+			row.Time[k] = met.TotalTime
+			row.Degraded[k] = met.SolveDegraded
+		}
+		for k, met := range mr.Flows {
+			row.HPWL[k] = met.HPWL
+		}
+		out.Rows = append(out.Rows, row)
 		dispRows = append(dispRows, toF64(row.Disp[:]))
 		hpwlRows = append(hpwlRows, toF64(row.HPWL[:]))
 		tr := make([]float64, 4)
@@ -217,7 +307,7 @@ func Table4(ctx context.Context, cfg Config) (*Table4Result, error) {
 	copy(out.NormDisp[:], metrics.NormalizedMean(dispRows, 0))
 	copy(out.NormHPWL[:], metrics.NormalizedMean(hpwlRows, 1))
 	copy(out.NormTime[:], metrics.NormalizedMean(timeRows, 0))
-	return out, nil
+	return out
 }
 
 func toF64(vs []int64) []float64 {
@@ -296,40 +386,34 @@ type Table5Result struct {
 
 var table5Flows = []flow.ID{flow.Flow1, flow.Flow2, flow.Flow4, flow.Flow5}
 
-// Table5 runs flows (1), (2), (4), (5) with routing and signoff on every
-// testcase. Testcases fan out on the shared pool; the ordered collector
-// keeps rows in spec order.
+// Table5 runs flows (1)–(5) on every testcase, routing and signing off
+// flows (1), (2), (4) and (5).
 func Table5(ctx context.Context, cfg Config) (*Table5Result, error) {
-	cfg = cfg.withDefaults()
-	out := &Table5Result{Scale: cfg.Scale}
-	rows, err := par.MapOn(cfg.Flow.Pool, len(cfg.Specs), func(si int) (Table5Row, error) {
-		spec := cfg.Specs[si]
-		r, err := cfg.runner(ctx, spec)
-		if err != nil {
-			return Table5Row{}, fmt.Errorf("exp: %s: %w", spec.Name(), err)
-		}
-		row := Table5Row{Name: spec.Name()}
-		for k, id := range table5Flows {
-			res, err := r.Run(ctx, id, true)
-			if err != nil {
-				return Table5Row{}, fmt.Errorf("exp: %s %v: %w", spec.Name(), id, err)
-			}
-			row.WL[k] = res.Metrics.RoutedWL
-			row.Power[k] = res.Metrics.PowerMW
-			row.WNS[k] = res.Metrics.WNSps
-			row.TNS[k] = res.Metrics.TNSps
-		}
-		cfg.logf("table5: %s wl=(%d,%d,%d,%d) p=(%.1f,%.1f,%.1f,%.1f)",
-			spec.Name(), row.WL[0], row.WL[1], row.WL[2], row.WL[3],
-			row.Power[0], row.Power[1], row.Power[2], row.Power[3])
-		return row, nil
-	})
+	m, err := RunMatrix(ctx, cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	out.Rows = rows
+	return m.Table5()
+}
+
+// Table5 is the Table V view of the matrix. It is an error on a matrix
+// run without routing.
+func (m *Matrix) Table5() (*Table5Result, error) {
+	if err := m.needRoute("Table V"); err != nil {
+		return nil, err
+	}
+	out := &Table5Result{Scale: m.Scale}
 	var wlRows, pRows, wnsRows, tnsRows [][]float64
-	for _, row := range out.Rows {
+	for _, mr := range m.Rows {
+		row := Table5Row{Name: mr.Name}
+		for k, id := range table5Flows {
+			met := mr.Flows[id-1]
+			row.WL[k] = met.RoutedWL
+			row.Power[k] = met.PowerMW
+			row.WNS[k] = met.WNSps
+			row.TNS[k] = met.TNSps
+		}
+		out.Rows = append(out.Rows, row)
 		wlRows = append(wlRows, toF64(row.WL[:]))
 		pRows = append(pRows, row.Power[:])
 		// WNS/TNS are negative-or-zero; normalise magnitudes like the paper

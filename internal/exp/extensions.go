@@ -7,8 +7,6 @@ import (
 	"mthplace/internal/flow"
 	"mthplace/internal/heightswap"
 	"mthplace/internal/metrics"
-	"mthplace/internal/par"
-	"mthplace/internal/synth"
 )
 
 // FinFlexRow compares the proposed customised rows (Flow 5) against the
@@ -36,24 +34,17 @@ type FinFlexResult struct {
 // FinFlexStudy runs Flow (5) and the auto-fitted one-in-n pattern flow on
 // every configured testcase, with routing.
 func FinFlexStudy(ctx context.Context, cfg Config) (*FinFlexResult, error) {
-	cfg = cfg.withDefaults()
-	if len(cfg.Specs) == 26 {
-		cfg.Specs = synth.ParameterSweepSpecs()
-	}
+	cfg = cfg.withDefaults().representative()
 	out := &FinFlexResult{Scale: cfg.Scale}
 	type rowOpt struct {
 		row FinFlexRow
 		ok  bool
 	}
-	rows, err := par.MapOn(cfg.Flow.Pool, len(cfg.Specs), func(si int) (rowOpt, error) {
-		spec := cfg.Specs[si]
-		r, err := cfg.runner(ctx, spec)
-		if err != nil {
-			return rowOpt{}, fmt.Errorf("exp: %s: %w", spec.Name(), err)
-		}
+	rows, err := forEachSpec(ctx, cfg, func(r *flow.Runner) (rowOpt, error) {
+		spec := r.Spec
 		f5, err := r.Run(ctx, flow.Flow5, true)
 		if err != nil {
-			return rowOpt{}, fmt.Errorf("exp: %s flow5: %w", spec.Name(), err)
+			return rowOpt{}, fmt.Errorf("flow5: %w", err)
 		}
 		ff, err := r.RunFinFlex(ctx, nil, true)
 		if err != nil {
@@ -125,24 +116,17 @@ type SwapResult struct {
 // SwapStudy runs Flow (5) and then the track-height swapping pass on every
 // configured testcase.
 func SwapStudy(ctx context.Context, cfg Config) (*SwapResult, error) {
-	cfg = cfg.withDefaults()
-	if len(cfg.Specs) == 26 {
-		cfg.Specs = synth.ParameterSweepSpecs()
-	}
+	cfg = cfg.withDefaults().representative()
 	out := &SwapResult{Scale: cfg.Scale}
-	rows, err := par.MapOn(cfg.Flow.Pool, len(cfg.Specs), func(si int) (SwapRow, error) {
-		spec := cfg.Specs[si]
-		r, err := cfg.runner(ctx, spec)
-		if err != nil {
-			return SwapRow{}, fmt.Errorf("exp: %s: %w", spec.Name(), err)
-		}
+	rows, err := forEachSpec(ctx, cfg, func(r *flow.Runner) (SwapRow, error) {
+		spec := r.Spec
 		res, err := r.Run(ctx, flow.Flow5, false)
 		if err != nil {
-			return SwapRow{}, fmt.Errorf("exp: %s flow5: %w", spec.Name(), err)
+			return SwapRow{}, fmt.Errorf("flow5: %w", err)
 		}
 		rep, err := heightswap.Optimize(ctx, res.Design, res.Stack, heightswap.Options{})
 		if err != nil {
-			return SwapRow{}, fmt.Errorf("exp: %s swap: %w", spec.Name(), err)
+			return SwapRow{}, fmt.Errorf("swap: %w", err)
 		}
 		cfg.logf("swap: %s swaps=%d wns %.1f -> %.1f", spec.Name(), rep.SwapsApplied, rep.WNSBefore, rep.WNSAfter)
 		return SwapRow{

@@ -6,8 +6,6 @@ import (
 
 	"mthplace/internal/flow"
 	"mthplace/internal/metrics"
-	"mthplace/internal/par"
-	"mthplace/internal/synth"
 )
 
 // DefaultSValues are the clustering-resolution sweep points of Fig. 4(a).
@@ -32,104 +30,91 @@ type SweepResult struct {
 	Best float64
 }
 
-// Fig4a sweeps the clustering resolution s on the 14 representative
-// testcases, measuring post-placement displacement, HPWL and ILP runtime of
-// the proposed flow under the prior work's legalization (Flow 4 pipeline),
-// exactly the quantities of Fig. 4(a).
-func Fig4a(ctx context.Context, cfg Config, values []float64) (*SweepResult, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Specs == nil || len(cfg.Specs) == 26 {
-		cfg.Specs = synth.ParameterSweepSpecs()
+// series is one testcase's raw Flow 4 outcome at each sweep point.
+type series struct{ disp, hpwl, rap []float64 }
+
+// sweep runs Flow 4 once per value on one runner per testcase; set applies
+// a value to the runner's config. The values run in order on each runner
+// because set mutates its config.
+func sweep(ctx context.Context, cfg Config, param string, values []float64, set func(*flow.Config, float64)) ([]series, error) {
+	return forEachSpec(ctx, cfg, func(r *flow.Runner) (series, error) {
+		s := series{make([]float64, len(values)), make([]float64, len(values)), make([]float64, len(values))}
+		for vi, v := range values {
+			set(&r.Cfg, v)
+			res, err := r.Run(ctx, flow.Flow4, false)
+			if err != nil {
+				return series{}, fmt.Errorf("%s=%.2f: %w", param, v, err)
+			}
+			s.disp[vi] = float64(res.Metrics.Displacement)
+			s.hpwl[vi] = float64(res.Metrics.HPWL)
+			s.rap[vi] = res.Metrics.RAPTime.Seconds()
+			cfg.logf("sweep: %s %s=%.2f disp=%.0f hpwl=%.0f rap=%.2fs",
+				r.Spec.Name(), param, v, s.disp[vi], s.hpwl[vi], s.rap[vi])
+		}
+		return s, nil
+	})
+}
+
+// sweepResult normalises each testcase's series to 0–1 and averages them
+// per sweep point; withRuntime adds the ILP-runtime series.
+func sweepResult(scale float64, param string, values []float64, all []series, withRuntime bool) *SweepResult {
+	var dispSeries, hpwlSeries, timeSeries [][]float64
+	for _, s := range all {
+		dispSeries = append(dispSeries, metrics.ZeroOne(s.disp))
+		hpwlSeries = append(hpwlSeries, metrics.ZeroOne(s.hpwl))
+		timeSeries = append(timeSeries, metrics.ZeroOne(s.rap))
 	}
+	out := &SweepResult{Scale: scale, Param: param, Values: values,
+		NormDisp: metrics.MeanColumns(dispSeries), NormHPWL: metrics.MeanColumns(hpwlSeries)}
+	if withRuntime {
+		out.NormRuntime = metrics.MeanColumns(timeSeries)
+	}
+	out.Best = pickBest(values, out.NormDisp, out.NormHPWL, out.NormRuntime)
+	return out
+}
+
+// SSweep is one run of the clustering-resolution sweep: Flow 4 (the
+// proposed assignment under the prior work's legalization) at each s on
+// every representative testcase. Fig. 4(a) and the §IV-B.4 ablation are
+// views of it.
+type SSweep struct {
+	Scale  float64
+	Values []float64
+	series []series
+}
+
+// RunSSweep runs the s sweep on the 14 representative testcases (or the
+// configured subset); nil values means DefaultSValues.
+func RunSSweep(ctx context.Context, cfg Config, values []float64) (*SSweep, error) {
+	cfg = cfg.withDefaults().representative()
 	if values == nil {
 		values = DefaultSValues
 	}
-	out := &SweepResult{Scale: cfg.Scale, Param: "s", Values: values}
-	// Specs fan out on the config's pool; the sweep over values stays
-	// sequential per spec because it mutates the spec's runner config.
-	type series struct{ disp, hpwl, rt []float64 }
-	all, err := par.MapOn(cfg.Flow.Pool, len(cfg.Specs), func(si int) (series, error) {
-		spec := cfg.Specs[si]
-		r, err := cfg.runner(ctx, spec)
-		if err != nil {
-			return series{}, fmt.Errorf("exp: %s: %w", spec.Name(), err)
-		}
-		disp := make([]float64, len(values))
-		hpwl := make([]float64, len(values))
-		rt := make([]float64, len(values))
-		for vi, s := range values {
-			r.Cfg.Core.S = s
-			res, err := r.Run(ctx, flow.Flow4, false)
-			if err != nil {
-				return series{}, fmt.Errorf("exp: %s s=%.2f: %w", spec.Name(), s, err)
-			}
-			disp[vi] = float64(res.Metrics.Displacement)
-			hpwl[vi] = float64(res.Metrics.HPWL)
-			rt[vi] = res.Metrics.RAPTime.Seconds()
-			cfg.logf("fig4a: %s s=%.2f disp=%.0f hpwl=%.0f rap=%.2fs",
-				spec.Name(), s, disp[vi], hpwl[vi], rt[vi])
-		}
-		return series{metrics.ZeroOne(disp), metrics.ZeroOne(hpwl), metrics.ZeroOne(rt)}, nil
-	})
+	all, err := sweep(ctx, cfg, "s", values, func(c *flow.Config, s float64) { c.Core.S = s })
 	if err != nil {
 		return nil, err
 	}
-	var dispSeries, hpwlSeries, timeSeries [][]float64
-	for _, s := range all {
-		dispSeries = append(dispSeries, s.disp)
-		hpwlSeries = append(hpwlSeries, s.hpwl)
-		timeSeries = append(timeSeries, s.rt)
-	}
-	out.NormDisp = metrics.MeanColumns(dispSeries)
-	out.NormHPWL = metrics.MeanColumns(hpwlSeries)
-	out.NormRuntime = metrics.MeanColumns(timeSeries)
-	out.Best = pickBest(values, out.NormDisp, out.NormHPWL, out.NormRuntime)
-	return out, nil
+	return &SSweep{Scale: cfg.Scale, Values: values, series: all}, nil
 }
 
-// Fig4b sweeps α at fixed s, measuring displacement and HPWL (Fig. 4(b)).
+// Fig4a is the Fig. 4(a) view: post-placement displacement, HPWL and ILP
+// runtime against s.
+func (s *SSweep) Fig4a() *SweepResult {
+	return sweepResult(s.Scale, "s", s.Values, s.series, true)
+}
+
+// Fig4b sweeps α at fixed s on the representative testcases, measuring
+// displacement and HPWL (Fig. 4(b)); nil values means DefaultAlphaValues.
 func Fig4b(ctx context.Context, cfg Config, values []float64) (*SweepResult, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Specs == nil || len(cfg.Specs) == 26 {
-		cfg.Specs = synth.ParameterSweepSpecs()
-	}
+	cfg = cfg.withDefaults().representative()
 	if values == nil {
 		values = DefaultAlphaValues
 	}
-	out := &SweepResult{Scale: cfg.Scale, Param: "alpha", Values: values}
-	type series struct{ disp, hpwl []float64 }
-	all, err := par.MapOn(cfg.Flow.Pool, len(cfg.Specs), func(si int) (series, error) {
-		spec := cfg.Specs[si]
-		r, err := cfg.runner(ctx, spec)
-		if err != nil {
-			return series{}, fmt.Errorf("exp: %s: %w", spec.Name(), err)
-		}
-		disp := make([]float64, len(values))
-		hpwl := make([]float64, len(values))
-		for vi, a := range values {
-			r.Cfg.Core.Cost.Alpha = a
-			res, err := r.Run(ctx, flow.Flow4, false)
-			if err != nil {
-				return series{}, fmt.Errorf("exp: %s alpha=%.2f: %w", spec.Name(), a, err)
-			}
-			disp[vi] = float64(res.Metrics.Displacement)
-			hpwl[vi] = float64(res.Metrics.HPWL)
-			cfg.logf("fig4b: %s alpha=%.2f disp=%.0f hpwl=%.0f", spec.Name(), a, disp[vi], hpwl[vi])
-		}
-		return series{metrics.ZeroOne(disp), metrics.ZeroOne(hpwl)}, nil
-	})
+	all, err := sweep(ctx, cfg, "alpha", values, func(c *flow.Config, a float64) { c.Core.Cost.Alpha = a })
 	if err != nil {
 		return nil, err
 	}
-	var dispSeries, hpwlSeries [][]float64
-	for _, s := range all {
-		dispSeries = append(dispSeries, s.disp)
-		hpwlSeries = append(hpwlSeries, s.hpwl)
-	}
-	out.NormDisp = metrics.MeanColumns(dispSeries)
-	out.NormHPWL = metrics.MeanColumns(hpwlSeries)
-	out.Best = pickBest(values, out.NormDisp, out.NormHPWL, nil)
-	return out, nil
+	return sweepResult(cfg.Scale, "alpha", values, all, false), nil
 }
 
 // pickBest selects the sweep value minimising disp+HPWL with runtime as a
@@ -184,40 +169,20 @@ type Fig5Result struct {
 	Slope, Intercept, R float64
 }
 
-// Fig5 runs Flow (5)'s row assignment on every testcase and fits ILP
-// runtime against the number of minority instances.
-func Fig5(ctx context.Context, cfg Config) (*Fig5Result, error) {
-	cfg = cfg.withDefaults()
-	out := &Fig5Result{Scale: cfg.Scale}
-	points, err := par.MapOn(cfg.Flow.Pool, len(cfg.Specs), func(si int) (Fig5Point, error) {
-		spec := cfg.Specs[si]
-		r, err := cfg.runner(ctx, spec)
-		if err != nil {
-			return Fig5Point{}, fmt.Errorf("exp: %s: %w", spec.Name(), err)
-		}
-		res, err := r.Run(ctx, flow.Flow5, false)
-		if err != nil {
-			return Fig5Point{}, fmt.Errorf("exp: %s: %w", spec.Name(), err)
-		}
-		p := Fig5Point{
-			Name:        spec.Name(),
-			NumMinority: res.Metrics.NumMinority,
-			ILPSeconds:  res.Metrics.RAPTime.Seconds(),
-		}
-		cfg.logf("fig5: %s minority=%d ilp=%.2fs", p.Name, p.NumMinority, p.ILPSeconds)
-		return p, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.Points = points
+// Fig5 is the Fig. 5 view of the matrix: Flow (5)'s ILP runtime against
+// the number of minority instances, with its least-squares fit.
+func (m *Matrix) Fig5() *Fig5Result {
+	out := &Fig5Result{Scale: m.Scale}
 	var xs, ys []float64
-	for _, p := range out.Points {
+	for _, row := range m.Rows {
+		f5 := row.Flows[flow.Flow5-1]
+		p := Fig5Point{Name: row.Name, NumMinority: f5.NumMinority, ILPSeconds: f5.RAPTime.Seconds()}
+		out.Points = append(out.Points, p)
 		xs = append(xs, float64(p.NumMinority))
 		ys = append(ys, p.ILPSeconds)
 	}
 	out.Slope, out.Intercept, out.R = metrics.LinearFit(xs, ys)
-	return out, nil
+	return out
 }
 
 // Table renders the scaling study.
