@@ -45,6 +45,33 @@ type Clusters struct {
 // N returns the cluster count.
 func (c *Clusters) N() int { return len(c.Members) }
 
+// clusterInput returns the k-means samples of BuildClusters — the minority
+// cells' centers with y stretched by yw so clusters come out about one pair
+// tall — and the cluster count N_C = round(s·N_minC) clamped to
+// [1, N_minC]. minority must be non-empty.
+func clusterInput(d *netlist.Design, minority []int32, s float64) (pts []cluster.Point2, nC int, yw float64) {
+	nC = int(math.Round(s * float64(len(minority))))
+	if nC < 1 {
+		nC = 1
+	}
+	if nC > len(minority) {
+		nC = len(minority)
+	}
+	pairH := float64(d.Tech.MLEFPairHeight(d.MinorityAreaFraction()))
+	nR := float64(d.Die.H()) / pairH
+	p := math.Ceil(math.Sqrt(float64(nC)))
+	yw = nR / p
+	if yw < 1 {
+		yw = 1
+	}
+	pts = make([]cluster.Point2, len(minority))
+	for k, i := range minority {
+		c := d.Insts[i].Rect().Center()
+		pts[k] = cluster.Point2{X: float64(c.X), Y: float64(c.Y) * yw}
+	}
+	return pts, nC, yw
+}
+
 // BuildClusters clusters the design's minority cells with 2-D k-means at
 // clustering resolution s (N_C = max(1, round(s·N_minC))), seeding centroids
 // on the paper's p×p grid. s ≥ 1 degenerates to one cell per cluster
@@ -67,26 +94,7 @@ func BuildClusters(ctx context.Context, d *netlist.Design, s float64, kmeansIter
 	if kmeansIters <= 0 {
 		kmeansIters = 30
 	}
-	nC := int(math.Round(s * float64(len(minority))))
-	if nC < 1 {
-		nC = 1
-	}
-	if nC > len(minority) {
-		nC = len(minority)
-	}
-	// Anisotropy: stretch y so clusters come out about one pair tall.
-	pairH := float64(d.Tech.MLEFPairHeight(d.MinorityAreaFraction()))
-	nR := float64(d.Die.H()) / pairH
-	p := math.Ceil(math.Sqrt(float64(nC)))
-	yw := nR / p
-	if yw < 1 {
-		yw = 1
-	}
-	pts := make([]cluster.Point2, len(minority))
-	for k, i := range minority {
-		c := d.Insts[i].Rect().Center()
-		pts[k] = cluster.Point2{X: float64(c.X), Y: float64(c.Y) * yw}
-	}
+	pts, nC, yw := clusterInput(d, minority, s)
 	var res *cluster.Result
 	if nC == len(minority) {
 		// Degenerate: identity clustering, skip Lloyd iterations.
