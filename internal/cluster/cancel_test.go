@@ -10,14 +10,15 @@ import (
 // TestKMeans2DCancelStopsEarly: the Lloyd loop checks the context once per
 // iteration, so a cancel landing mid-clustering stops the run within one
 // assignment pass — well before the uncanceled runtime — and the partial
-// result reports how far it got.
+// result reports how far it got. The input is sized so the full run takes
+// well over the 100 ms floor with the grid search, not only with a scan.
 func TestKMeans2DCancelStopsEarly(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	pts := make([]Point2, 40000)
+	pts := make([]Point2, 100000)
 	for i := range pts {
 		pts[i] = Point2{rng.Float64() * 1e6, rng.Float64() * 1e6}
 	}
-	const k, iters = 400, 40
+	const k, iters = 1000, 40
 
 	start := time.Now()
 	full := KMeans2D(context.Background(), pts, k, iters)

@@ -5,6 +5,13 @@
 // inner points of a p×p grid over the placement area with p = ceil(sqrt(N_C))
 // (the (p² − N_C) outermost grid points are excluded).
 //
+// Each Lloyd iteration finds a sample's nearest centroid by a ring search
+// over a uniform grid of centroid buckets (grid.go) instead of scanning all
+// N_C centroids, so an iteration costs about O(N_minC) rather than
+// O(N_minC · N_C). The search returns exactly the scan's answer — the same
+// distance expression, ties to the lowest centroid index — so clusterings
+// are bit-identical to the scan's.
+//
 // The 1-D variant is used by the reimplemented prior work [10], which
 // k-means-clusters minority cell y-coordinates to pick minority rows.
 package cluster
@@ -96,11 +103,13 @@ func GridSeeds(pts []Point2, k int) []Point2 {
 
 // KMeans2D clusters the samples into k clusters starting from the paper's
 // grid seeds, running standard Lloyd iterations until assignments are stable
-// or maxIter is reached. k is clamped to [1, len(pts)]. The algorithm is
-// fully deterministic: assignment and centroid accumulation run on the
-// worker pool carried by ctx (par.FromContext) over par's canonical chunks,
-// and the per-chunk partial sums merge in fixed chunk order, so the result
-// is bit-identical at any pool bound (including fully sequential runs).
+// or maxIter is reached. k is clamped to [1, len(pts)]. Assignment uses
+// the grid ring search, which returns the brute-force scan's answer. The
+// algorithm is fully deterministic: assignment and centroid accumulation
+// run on the worker pool carried by ctx (par.FromContext) over par's
+// canonical chunks, and the per-chunk partial sums merge in fixed chunk
+// order, so the result is bit-identical at any pool bound (including fully
+// sequential runs).
 //
 // Cancellation is checked between Lloyd iterations: when ctx is done the
 // loop stops within one iteration and the partial result is returned.
@@ -148,11 +157,13 @@ func KMeans2D(ctx context.Context, pts []Point2, k, maxIter int) *Result {
 	sx := make([]float64, k)
 	sy := make([]float64, k)
 	pool := par.FromContext(ctx)
+	grid := newCentroidGrid(pts, k)
 	iters := 0
 	for ; iters < maxIter; iters++ {
 		if ctx.Err() != nil {
 			break
 		}
+		grid.bucket(cent)
 		// Assignment + per-chunk accumulation: each chunk owns assign[lo:hi]
 		// and its private partial sums.
 		pool.ForChunks(len(pts), func(ci, lo, hi int) {
@@ -164,13 +175,7 @@ func KMeans2D(ctx context.Context, pts []Point2, k, maxIter int) *Result {
 			pt.moved = 0
 			for i := lo; i < hi; i++ {
 				p := pts[i]
-				best, bestD := 0, math.Inf(1)
-				for c, q := range cent {
-					d := sq(p.X-q.X) + sq(p.Y-q.Y)
-					if d < bestD {
-						best, bestD = c, d
-					}
-				}
+				best := grid.nearest(p, cent)
 				if assign[i] != best {
 					assign[i] = best
 					pt.changed = true
