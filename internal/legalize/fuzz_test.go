@@ -1,6 +1,7 @@
 package legalize
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -10,6 +11,8 @@ import (
 // FuzzLegalize decodes arbitrary bytes into a legalization request and
 // checks that Abacus either reports infeasibility or returns a fully legal
 // result: every cell placed on the site grid inside a row, no overlaps.
+// Either way it must agree with abacusCopyOnMerge, the copy-on-merge
+// implementation it replaced, error for error and position for position.
 func FuzzLegalize(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 4, 20, 10, 5, 5, 30, 15, 60, 25, 200})
@@ -44,8 +47,17 @@ func FuzzLegalize(f *testing.F) {
 		}
 
 		res, err := Abacus(cells, rows, site)
+		ref, refErr := abacusCopyOnMerge(cells, rows, site)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("error %v, copy-on-merge reference %v", err, refErr)
+		}
 		if err != nil {
 			return // over-capacity inputs may legitimately be infeasible
+		}
+		for _, c := range cells {
+			if res[c.ID] != ref[c.ID] {
+				t.Fatalf("cell %d at %v, copy-on-merge reference %v", c.ID, res[c.ID], ref[c.ID])
+			}
 		}
 		rowAt := map[int64]Row{}
 		for _, r := range rows {
