@@ -451,18 +451,15 @@ func (r *Runner) runConstraint(ctx context.Context, id ID, withRoute bool) (*Res
 		seedY = ra.SeedY
 		cellPair = ra.CellPair
 	} else {
-		// Flows (2)/(3): the baseline assignment (already computed once for
-		// N_minR; recompute against this clone's identical placement to
-		// charge its runtime).
-		rapStart := time.Now()
+		// Flows (2)/(3): the baseline assignment NewRunner computed for
+		// N_minR on Base, whose placement this clone shares. It is read
+		// only, so every Flow (2)/(3) run reuses it and is charged its
+		// runtime. The stage keeps its span and fault point.
 		if err := stage(ctx, "solve", func(ctx context.Context) error {
 			if err := fault.Inject(ctx, PointSolve); err != nil {
 				return fmt.Errorf("baseline assignment: %w", err)
 			}
-			ba, err := baseline.AssignRows(d, r.Grid, r.Cfg.Baseline)
-			if err != nil {
-				return fmt.Errorf("baseline assignment: %w", err)
-			}
+			ba := r.baseAssign
 			met.NumClusters = ba.NminR
 			stack = ba.Stack
 			seedY = ba.SeedY
@@ -471,7 +468,7 @@ func (r *Runner) runConstraint(ctx context.Context, id ID, withRoute bool) (*Res
 		}); err != nil {
 			return nil, err
 		}
-		met.RAPTime = time.Since(rapStart)
+		met.RAPTime = r.baseAssign.Runtime
 		met.SolveRung = "baseline"
 		met.Solver = "baseline"
 	}

@@ -154,6 +154,26 @@ func TestFlowDeterminism(t *testing.T) {
 	}
 }
 
+// TestBaselineFlowsReuseAssignment: Flows (2) and (3) take the baseline
+// row assignment NewRunner computed for N_minR instead of recomputing it,
+// and are charged its runtime.
+func TestBaselineFlowsReuseAssignment(t *testing.T) {
+	r := newRunner(t, 0.02)
+	for _, id := range []ID{Flow2, Flow3} {
+		res, err := r.Run(context.Background(), id, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stack != r.baseAssign.Stack {
+			t.Errorf("%v: stack is not the runner's baseline assignment", id)
+		}
+		if res.Metrics.RAPTime != r.baseAssign.Runtime || res.Metrics.NumClusters != r.NminR {
+			t.Errorf("%v: RAPTime %v, NumClusters %d; want the baseline's %v, %d",
+				id, res.Metrics.RAPTime, res.Metrics.NumClusters, r.baseAssign.Runtime, r.NminR)
+		}
+	}
+}
+
 func TestUnknownFlow(t *testing.T) {
 	r := newRunner(t, 0.01)
 	if _, err := r.Run(context.Background(), ID(9), false); err == nil {
