@@ -3,6 +3,7 @@ package legalize
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mthplace/internal/check"
@@ -229,7 +230,13 @@ func classAbacus(d *netlist.Design, ms *rowgrid.MixedStack, h tech.TrackHeight, 
 		lo, hi := ms.RowsOfPair(p)
 		rows = append(rows, Row{Y: lo, X0: ms.X0, X1: ms.X1}, Row{Y: hi, X0: ms.X0, X1: ms.X1})
 	}
-	var cells []Cell
+	n := 0
+	for _, in := range d.Insts {
+		if !in.Fixed && in.TrueHeight() == h {
+			n++
+		}
+	}
+	cells := make([]Cell, 0, n)
 	for i, in := range d.Insts {
 		if in.Fixed || in.TrueHeight() != h {
 			continue
@@ -269,6 +276,7 @@ func apply(d *netlist.Design, res Result) {
 // improvement pass leaves the design consistent (the caller still errors
 // out before using it).
 func medianImprove(ctx context.Context, d *netlist.Design, ms *rowgrid.MixedStack, passes int, lockY map[int32]int64, want func(*netlist.Instance) bool) {
+	var xs, ys []int64
 	for pass := 0; pass < passes; pass++ {
 		if ctx.Err() != nil {
 			return
@@ -277,12 +285,12 @@ func medianImprove(ctx context.Context, d *netlist.Design, ms *rowgrid.MixedStac
 			if in.Fixed || !want(in) {
 				continue
 			}
-			xs, ys := connectedPinCoords(d, int32(i))
+			xs, ys = connectedPinCoords(d, int32(i), xs[:0], ys[:0])
 			if len(xs) == 0 {
 				continue
 			}
-			sort.Slice(xs, func(a, b int) bool { return xs[a] < xs[b] })
-			sort.Slice(ys, func(a, b int) bool { return ys[a] < ys[b] })
+			slices.Sort(xs)
+			slices.Sort(ys)
 			mx := xs[len(xs)/2] - in.Width()/2
 			my := ys[len(ys)/2] - in.Height()/2
 			mx = geom.ClampInt64(mx, ms.X0, ms.X1-in.Width())
@@ -322,10 +330,10 @@ func pairAt(ms *rowgrid.MixedStack, y int64) int {
 	return -1
 }
 
-// connectedPinCoords returns the positions of all pins connected to the
-// instance through its nets, excluding the instance's own pins and the
-// clock net.
-func connectedPinCoords(d *netlist.Design, inst int32) (xs, ys []int64) {
+// connectedPinCoords appends to xs and ys the positions of all pins
+// connected to the instance through its nets, excluding the instance's own
+// pins and the clock net.
+func connectedPinCoords(d *netlist.Design, inst int32, xs, ys []int64) ([]int64, []int64) {
 	in := d.Insts[inst]
 	for _, net := range in.PinNets {
 		if net == netlist.NoNet || net == d.ClockNet {
