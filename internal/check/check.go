@@ -25,8 +25,9 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"mthplace/internal/fence"
@@ -132,9 +133,9 @@ func Placement(d *netlist.Design, ms *rowgrid.MixedStack) *Report {
 		rowsOf[h][lo] = true
 		rowsOf[h][hi] = true
 	}
-	occupied := map[int64][]span{}
+	occupied := make([]span, 0, len(d.Insts))
 	for i, in := range d.Insts {
-		auditCell(rep, d, i, in, ms.X0, ms.X1, occupied, func() error {
+		occupied = auditCell(rep, d, i, in, ms.X0, ms.X1, occupied, func() error {
 			if !rowsOf[in.TrueHeight()][in.Pos.Y] {
 				return fmt.Errorf("y=%d is not a %s row bottom", in.Pos.Y, in.TrueHeight())
 			}
@@ -149,9 +150,9 @@ func Placement(d *netlist.Design, ms *rowgrid.MixedStack) *Report {
 // Flow (1) output, where every cell has the same stand-in height.
 func PlacementUniform(d *netlist.Design, g rowgrid.PairGrid) *Report {
 	rep := &Report{}
-	occupied := map[int64][]span{}
+	occupied := make([]span, 0, len(d.Insts))
 	for i, in := range d.Insts {
-		auditCell(rep, d, i, in, g.X0, g.X1, occupied, func() error {
+		occupied = auditCell(rep, d, i, in, g.X0, g.X1, occupied, func() error {
 			off := in.Pos.Y - g.Y0
 			if off < 0 || g.RowH() == 0 || off%g.RowH() != 0 || int(off/g.RowH()) >= g.NumRows() {
 				return fmt.Errorf("y=%d is not a uniform row bottom", in.Pos.Y)
@@ -163,14 +164,15 @@ func PlacementUniform(d *netlist.Design, g rowgrid.PairGrid) *Report {
 	return rep
 }
 
+// span is one on-row cell's footprint in the row whose bottom is y.
 type span struct {
-	lo, hi int64
-	inst   int
+	y, lo, hi int64
+	inst      int
 }
 
 // auditCell applies the per-cell invariants shared by the mixed and uniform
-// auditors and records the cell's row occupancy for the overlap scan.
-func auditCell(rep *Report, d *netlist.Design, i int, in *netlist.Instance, x0, x1 int64, occupied map[int64][]span, rowCheck func() error) {
+// auditors and appends the cell's row occupancy for the overlap scan.
+func auditCell(rep *Report, d *netlist.Design, i int, in *netlist.Instance, x0, x1 int64, occupied []span, rowCheck func() error) []span {
 	if in.Pos.X%d.Tech.SiteWidth != 0 {
 		rep.add("site-grid", i, "x=%d not a multiple of site width %d", in.Pos.X, d.Tech.SiteWidth)
 	}
@@ -179,31 +181,29 @@ func auditCell(rep *Report, d *netlist.Design, i int, in *netlist.Instance, x0, 
 	}
 	if err := rowCheck(); err != nil {
 		rep.add("row-height", i, "%v", err)
-		return // an off-row cell would poison the overlap scan
+		return occupied // an off-row cell would poison the overlap scan
 	}
-	occupied[in.Pos.Y] = append(occupied[in.Pos.Y], span{in.Pos.X, in.Pos.X + in.Width(), i})
+	return append(occupied, span{in.Pos.Y, in.Pos.X, in.Pos.X + in.Width(), i})
 }
 
-// auditOverlaps flags every pair of cells sharing x-extent in a row.
-func auditOverlaps(rep *Report, occupied map[int64][]span) {
-	ys := make([]int64, 0, len(occupied))
-	for y := range occupied {
-		ys = append(ys, y)
-	}
-	sort.Slice(ys, func(a, b int) bool { return ys[a] < ys[b] })
-	for _, y := range ys {
-		spans := occupied[y]
-		sort.Slice(spans, func(a, b int) bool {
-			if spans[a].lo != spans[b].lo {
-				return spans[a].lo < spans[b].lo
-			}
-			return spans[a].inst < spans[b].inst
-		})
-		for k := 1; k < len(spans); k++ {
-			if spans[k].lo < spans[k-1].hi {
-				rep.add("overlap", spans[k].inst, "overlaps inst %d in row y=%d ([%d,%d) vs [%d,%d))",
-					spans[k-1].inst, y, spans[k-1].lo, spans[k-1].hi, spans[k].lo, spans[k].hi)
-			}
+// auditOverlaps flags every pair of cells sharing x-extent in a row. One
+// sort by (y, lo, inst) puts each row's cells next to each other in x
+// order, so the report lists rows bottom to top.
+func auditOverlaps(rep *Report, spans []span) {
+	slices.SortFunc(spans, func(a, b span) int {
+		if c := cmp.Compare(a.y, b.y); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.lo, b.lo); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.inst, b.inst)
+	})
+	for k := 1; k < len(spans); k++ {
+		prev, cur := spans[k-1], spans[k]
+		if cur.y == prev.y && cur.lo < prev.hi {
+			rep.add("overlap", cur.inst, "overlaps inst %d in row y=%d ([%d,%d) vs [%d,%d))",
+				prev.inst, cur.y, prev.lo, prev.hi, cur.lo, cur.hi)
 		}
 	}
 }
