@@ -1,7 +1,6 @@
-// Three-way differential suite for the structure-aware backend: on
-// randomized oracle-sized instances, core.Solve must agree exactly with
-// both the brute-force oracle and the generic MILP reference
-// (milp_ref_test.go). An external test package so it can drive the
+// Differential suite for the structure-aware backend: on randomized
+// oracle-sized instances, core.Solve must agree exactly with the
+// brute-force oracle. An external test package so it can drive the
 // production core entry points (core imports rap; rap_test may import core).
 package rap_test
 
@@ -83,12 +82,11 @@ func diffModel(rng *rand.Rand, slack bool) *core.Model {
 	return m
 }
 
-// TestDifferentialRAPThreeWay is the acceptance differential for the rap
+// TestDifferentialRAPOracle is the acceptance differential for the rap
 // backend: on 300 randomized feasible instances the rap objective must
-// equal both the brute-force optimum and the MILP reference's objective
-// exactly, both assignments must pass the Eq. 3/4/5 audit, and optimality
-// must be proven.
-func TestDifferentialRAPThreeWay(t *testing.T) {
+// equal the brute-force optimum exactly, the assignment must pass the
+// Eq. 3/4/5 audit, and optimality must be proven.
+func TestDifferentialRAPOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1618))
 	ctx := context.Background()
 	for i := 0; i < 300; i++ {
@@ -96,13 +94,6 @@ func TestDifferentialRAPThreeWay(t *testing.T) {
 		want, err := oracle.Solve(m)
 		if err != nil {
 			t.Fatalf("instance %d: oracle on guaranteed-feasible instance: %v", i, err)
-		}
-		ilp, err := solveMILPRef(ctx, m)
-		if err != nil {
-			t.Fatalf("instance %d: %v", i, err)
-		}
-		if err := oracle.Feasibility(m, ilp); err != nil {
-			t.Errorf("instance %d: milp reference solution fails audit: %v", i, err)
 		}
 		got, err := core.Solve(ctx, m, exactOptions())
 		if err != nil {
@@ -118,9 +109,6 @@ func TestDifferentialRAPThreeWay(t *testing.T) {
 		if math.Abs(got.Objective-want.Objective) > 1e-6 {
 			t.Errorf("instance %d (%d clusters × %d rows, N_minR %d): rap objective %g, oracle optimum %g",
 				i, m.Clusters.N(), m.NR, m.NminR, got.Objective, want.Objective)
-		}
-		if math.Abs(got.Objective-ilp.Objective) > 1e-6 {
-			t.Errorf("instance %d: rap objective %g, milp reference objective %g", i, got.Objective, ilp.Objective)
 		}
 	}
 }
