@@ -161,17 +161,6 @@ func (m *Master) InputCap(i int) float64 {
 	return m.Pins[i].Cap
 }
 
-// NumInputs returns the number of input pins.
-func (m *Master) NumInputs() int {
-	n := 0
-	for _, p := range m.Pins {
-		if p.Dir == Input {
-			n++
-		}
-	}
-	return n
-}
-
 // OutputPin returns the index of the output pin, or -1.
 func (m *Master) OutputPin() int {
 	for i, p := range m.Pins {

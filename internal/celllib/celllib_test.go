@@ -166,8 +166,8 @@ func TestDFFSpecifics(t *testing.T) {
 	if !dff.Sequential {
 		t.Error("DFF must be sequential")
 	}
-	if dff.NumInputs() != 2 {
-		t.Errorf("DFF inputs = %d, want 2 (D, CK)", dff.NumInputs())
+	if len(dff.Pins) != 3 || dff.OutputPin() != 2 {
+		t.Fatalf("DFF has %d pins, output %d; want inputs D, CK then output Q", len(dff.Pins), dff.OutputPin())
 	}
 	if dff.Pins[0].Name != "D" || dff.Pins[1].Name != "CK" || dff.Pins[2].Name != "Q" {
 		t.Errorf("DFF pin names wrong: %v", []string{dff.Pins[0].Name, dff.Pins[1].Name, dff.Pins[2].Name})

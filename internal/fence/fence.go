@@ -2,14 +2,10 @@
 // (7.5T) row islands derived from the row assignment solution. The paper
 // hands these regions to the P&R tool (createInstGroup -fence) so its
 // incremental placement keeps every minority cell inside them; here they
-// drive the fence-aware legalizer and are exported for inspection and DEF
-// REGION-style dumps.
+// drive the fence-aware legalizer and the fence audit.
 package fence
 
 import (
-	"fmt"
-	"io"
-
 	"mthplace/internal/geom"
 	"mthplace/internal/rowgrid"
 	"mthplace/internal/tech"
@@ -53,9 +49,6 @@ func FromStack(ms *rowgrid.MixedStack) *Regions {
 	return out
 }
 
-// NumIslands returns the number of disjoint minority islands.
-func (r *Regions) NumIslands() int { return len(r.Rects) }
-
 // Area returns the total fenced area.
 func (r *Regions) Area() int64 {
 	var a int64
@@ -84,30 +77,4 @@ func (r *Regions) ContainsRect(q geom.Rect) bool {
 		}
 	}
 	return false
-}
-
-// IslandOf returns the island index containing y, or -1.
-func (r *Regions) IslandOf(y int64) int {
-	for i, rc := range r.Rects {
-		if y >= rc.Lo.Y && y < rc.Hi.Y {
-			return i
-		}
-	}
-	return -1
-}
-
-// WriteRegions dumps the fence in the DEF REGIONS style used by P&R
-// scripts, the moral equivalent of the paper's createInstGroup -fence input.
-func (r *Regions) WriteRegions(w io.Writer, name string) error {
-	if _, err := fmt.Fprintf(w, "REGIONS %d ;\n", len(r.Rects)); err != nil {
-		return err
-	}
-	for i, rc := range r.Rects {
-		if _, err := fmt.Fprintf(w, "- %s_%d ( %d %d ) ( %d %d ) + TYPE FENCE ;\n",
-			name, i, rc.Lo.X, rc.Lo.Y, rc.Hi.X, rc.Hi.Y); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "END REGIONS\n")
-	return err
 }

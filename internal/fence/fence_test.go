@@ -1,8 +1,6 @@
 package fence
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -29,8 +27,8 @@ func TestFromStackMergesAdjacentIslands(t *testing.T) {
 	S, T := tech.Short6T, tech.Tall7p5T
 	ms := stack(t, []tech.TrackHeight{S, T, T, S, S, T, S})
 	r := FromStack(ms)
-	if r.NumIslands() != 2 {
-		t.Fatalf("islands = %d, want 2", r.NumIslands())
+	if len(r.Rects) != 2 {
+		t.Fatalf("islands = %d, want 2", len(r.Rects))
 	}
 	// First island: pairs 1 and 2 merged.
 	if len(r.Pairs[0]) != 2 || r.Pairs[0][0] != 1 || r.Pairs[0][1] != 2 {
@@ -53,14 +51,11 @@ func TestFromStackMergesAdjacentIslands(t *testing.T) {
 func TestFromStackNoMinority(t *testing.T) {
 	S := tech.Short6T
 	r := FromStack(stack(t, []tech.TrackHeight{S, S, S}))
-	if r.NumIslands() != 0 || r.Area() != 0 {
+	if len(r.Rects) != 0 || r.Area() != 0 {
 		t.Fatalf("unexpected islands: %+v", r)
 	}
 	if r.Contains(geom.Point{X: 1, Y: 1}) {
 		t.Error("empty fence cannot contain points")
-	}
-	if r.IslandOf(100) != -1 {
-		t.Error("IslandOf must be -1")
 	}
 }
 
@@ -80,23 +75,6 @@ func TestContainsQueries(t *testing.T) {
 	straddle := geom.NewRect(0, ms.Y[1]-10, 500, ms.Y[1]+100)
 	if r.ContainsRect(straddle) {
 		t.Error("straddling cell must not be contained")
-	}
-	if r.IslandOf(ms.Y[1]+5) != 0 {
-		t.Error("IslandOf wrong")
-	}
-}
-
-func TestWriteRegions(t *testing.T) {
-	S, T := tech.Short6T, tech.Tall7p5T
-	r := FromStack(stack(t, []tech.TrackHeight{S, T, S, T}))
-	var buf bytes.Buffer
-	if err := r.WriteRegions(&buf, "minority"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "REGIONS 2 ;") || !strings.Contains(out, "minority_1") ||
-		!strings.Contains(out, "TYPE FENCE") {
-		t.Errorf("regions dump malformed:\n%s", out)
 	}
 }
 
@@ -127,7 +105,7 @@ func TestIslandStructureProperty(t *testing.T) {
 			return false
 		}
 		r := FromStack(ms)
-		if r.NumIslands() != runs {
+		if len(r.Rects) != runs {
 			return false
 		}
 		covered := map[int]int{}

@@ -24,9 +24,6 @@ import (
 // Pattern is a repeating row-pair height sequence, bottom to top.
 type Pattern []tech.TrackHeight
 
-// Alternating is the FinFlex-style strict alternation.
-func Alternating() Pattern { return Pattern{tech.Short6T, tech.Tall7p5T} }
-
 // OneInN returns a pattern with one tall pair every n pairs (n ≥ 2).
 func OneInN(n int) Pattern {
 	if n < 2 {
@@ -170,20 +167,4 @@ func FitPattern(d *netlist.Design, t *tech.Tech, packing float64) (Pattern, *row
 	}
 	return nil, nil, fmt.Errorf("finflex: no one-in-n pattern hosts the design (minority %d, majority %d)",
 		minorityW, majorityW)
-}
-
-// MinorityCapacityFraction returns the fraction of the pattern's minority
-// row capacity the design would consume; > 1 means the pattern cannot host
-// the design.
-func MinorityCapacityFraction(d *netlist.Design, ms *rowgrid.MixedStack) float64 {
-	tall := ms.PairsOf(tech.Tall7p5T)
-	capTotal := float64(int64(len(tall)) * 2 * ms.Width())
-	if capTotal == 0 {
-		return 0
-	}
-	var demand float64
-	for _, i := range d.MinorityInstances() {
-		demand += float64(d.Insts[i].TrueMaster().Width)
-	}
-	return demand / capTotal
 }

@@ -17,9 +17,6 @@ import (
 )
 
 func TestPatternHelpers(t *testing.T) {
-	if Alternating().String() != "ST" {
-		t.Errorf("Alternating = %s", Alternating())
-	}
 	if OneInN(3).String() != "SST" {
 		t.Errorf("OneInN(3) = %s", OneInN(3))
 	}
@@ -34,7 +31,7 @@ func TestStackTilesPattern(t *testing.T) {
 	// than a short pair.
 	h := 2*(tc.PairHeight(tech.Short6T)+tc.PairHeight(tech.Tall7p5T)) + 100
 	die := geom.NewRect(0, 0, 10000, h)
-	ms, err := Stack(die, tc, Alternating())
+	ms, err := Stack(die, tc, OneInN(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +48,7 @@ func TestStackTilesPattern(t *testing.T) {
 		t.Error("empty pattern must error")
 	}
 	tiny := geom.NewRect(0, 0, 100, 100)
-	if _, err := Stack(tiny, tc, Alternating()); err == nil {
+	if _, err := Stack(tiny, tc, OneInN(2)); err == nil {
 		t.Error("tiny die must error")
 	}
 }
@@ -88,8 +85,12 @@ func TestFitPatternHostsDesign(t *testing.T) {
 	if len(p) < 2 {
 		t.Fatalf("pattern %v too short", p)
 	}
-	if f := MinorityCapacityFraction(d, ms); f > 1 {
-		t.Errorf("capacity fraction %f > 1", f)
+	var demand int64
+	for _, i := range d.MinorityInstances() {
+		demand += d.Insts[i].TrueMaster().Width
+	}
+	if capacity := int64(len(ms.PairsOf(tech.Tall7p5T))) * 2 * ms.Width(); demand > capacity {
+		t.Errorf("minority demand %d exceeds the pattern's minority capacity %d", demand, capacity)
 	}
 }
 

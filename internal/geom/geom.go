@@ -77,38 +77,6 @@ func (r Rect) ContainsRect(q Rect) bool {
 	return q.Lo.X >= r.Lo.X && q.Lo.Y >= r.Lo.Y && q.Hi.X <= r.Hi.X && q.Hi.Y <= r.Hi.Y
 }
 
-// Intersects reports whether r and q share interior area.
-func (r Rect) Intersects(q Rect) bool {
-	return r.Lo.X < q.Hi.X && q.Lo.X < r.Hi.X && r.Lo.Y < q.Hi.Y && q.Lo.Y < r.Hi.Y
-}
-
-// Intersect returns the overlapping region of r and q; the result is empty
-// when they do not intersect.
-func (r Rect) Intersect(q Rect) Rect {
-	out := Rect{
-		Point{MaxInt64(r.Lo.X, q.Lo.X), MaxInt64(r.Lo.Y, q.Lo.Y)},
-		Point{MinInt64(r.Hi.X, q.Hi.X), MinInt64(r.Hi.Y, q.Hi.Y)},
-	}
-	if out.Empty() {
-		return Rect{}
-	}
-	return out
-}
-
-// Union returns the bounding box of r and q. Empty rectangles are ignored.
-func (r Rect) Union(q Rect) Rect {
-	if r.Empty() {
-		return q
-	}
-	if q.Empty() {
-		return r
-	}
-	return Rect{
-		Point{MinInt64(r.Lo.X, q.Lo.X), MinInt64(r.Lo.Y, q.Lo.Y)},
-		Point{MaxInt64(r.Hi.X, q.Hi.X), MaxInt64(r.Hi.Y, q.Hi.Y)},
-	}
-}
-
 // String implements fmt.Stringer.
 func (r Rect) String() string {
 	return fmt.Sprintf("[%d,%d %d,%d]", r.Lo.X, r.Lo.Y, r.Hi.X, r.Hi.Y)

@@ -113,13 +113,3 @@ func Revert(d *netlist.Design) error {
 	}
 	return nil
 }
-
-// Standins returns the stand-in masters created so far, keyed by true master
-// name; exposed for LEF export of the mLEF library.
-func (m *MLEF) Standins() map[string]*celllib.Master {
-	out := make(map[string]*celllib.Master, len(m.standins))
-	for src, st := range m.standins {
-		out[src.Name] = st
-	}
-	return out
-}

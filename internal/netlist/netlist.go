@@ -167,19 +167,6 @@ func (d *Design) Driver(net int32) (PinRef, bool) {
 	return PinRef{}, false
 }
 
-// Sinks returns the non-driving pins of a net, in net order.
-func (d *Design) Sinks(net int32) []PinRef {
-	drv, has := d.Driver(net)
-	out := make([]PinRef, 0, len(d.Nets[net].Pins))
-	for _, ref := range d.Nets[net].Pins {
-		if has && ref == drv {
-			continue
-		}
-		out = append(out, ref)
-	}
-	return out
-}
-
 // MinorityInstances returns indices of all 7.5T (minority) instances,
 // classified by true (pre-mLEF) master height.
 func (d *Design) MinorityInstances() []int32 {

@@ -49,38 +49,6 @@ func (g PairGrid) NumRows() int { return 2 * g.N }
 // Width returns the row span width.
 func (g PairGrid) Width() int64 { return g.X1 - g.X0 }
 
-// NearestPair returns the pair index whose vertical span is closest to y,
-// clamped to the grid.
-func (g PairGrid) NearestPair(y int64) int {
-	if g.N == 0 {
-		return 0
-	}
-	i := int((y - g.Y0) / g.PairH)
-	if i < 0 {
-		i = 0
-	}
-	if i >= g.N {
-		i = g.N - 1
-	}
-	return i
-}
-
-// NearestRow returns the single-row index closest to y, clamped.
-func (g PairGrid) NearestRow(y int64) int {
-	if g.N == 0 {
-		return 0
-	}
-	h := g.RowH()
-	j := int((y - g.Y0) / h)
-	if j < 0 {
-		j = 0
-	}
-	if j >= g.NumRows() {
-		j = g.NumRows() - 1
-	}
-	return j
-}
-
 // PairCenterY returns the vertical center of pair i.
 func (g PairGrid) PairCenterY(i int) int64 { return g.PairY(i) + g.PairH/2 }
 

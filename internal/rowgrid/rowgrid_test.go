@@ -42,36 +42,6 @@ func TestUniformGridPartialPair(t *testing.T) {
 	}
 }
 
-func TestNearestPairAndRow(t *testing.T) {
-	die := geom.NewRect(0, 100, 5000, 100+5*432)
-	g := Uniform(die, 432)
-	cases := []struct {
-		y    int64
-		pair int
-	}{
-		{0, 0},     // below die clamps
-		{100, 0},   // exactly bottom
-		{531, 0},   // still pair 0 (100..532)
-		{532, 1},   // pair 1 starts
-		{99999, 4}, // above clamps
-		{100 + 432*2 + 10, 2},
-	}
-	for _, c := range cases {
-		if got := g.NearestPair(c.y); got != c.pair {
-			t.Errorf("NearestPair(%d) = %d, want %d", c.y, got, c.pair)
-		}
-	}
-	if got := g.NearestRow(100 + 216); got != 1 {
-		t.Errorf("NearestRow = %d, want 1", got)
-	}
-	if got := g.NearestRow(-50); got != 0 {
-		t.Errorf("NearestRow clamp low = %d", got)
-	}
-	if got := g.NearestRow(1 << 40); got != g.NumRows()-1 {
-		t.Errorf("NearestRow clamp high = %d", got)
-	}
-}
-
 func TestStack(t *testing.T) {
 	tc := tech.Default()
 	die := geom.NewRect(0, 0, 5000, 432*3+540*2)

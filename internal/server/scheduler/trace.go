@@ -8,7 +8,6 @@
 package scheduler
 
 import (
-	"io"
 	"time"
 
 	"mthplace/internal/obs"
@@ -22,16 +21,6 @@ const procCoordinator = "coordinator"
 // is unknown or its trace was evicted).
 func (s *Scheduler) TraceRecords(id string) []obs.SpanRecord {
 	return s.traces.Get(id)
-}
-
-// WriteTrace renders the job's merged multi-process timeline as Chrome
-// trace_event JSON. ok is false when no records exist for the job.
-func (s *Scheduler) WriteTrace(w io.Writer, id string) (ok bool, err error) {
-	recs := s.traces.Get(id)
-	if len(recs) == 0 {
-		return false, nil
-	}
-	return true, obs.WriteChromeTrace(w, recs)
 }
 
 // ingestAttempt stores one attempt's coordinator-side records.

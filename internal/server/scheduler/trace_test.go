@@ -125,9 +125,8 @@ func TestTraceLifecycleLocal(t *testing.T) {
 
 	// The merged export must be valid Chrome trace_event JSON.
 	var buf bytes.Buffer
-	ok, err := s.WriteTrace(&buf, jb.ID)
-	if !ok || err != nil {
-		t.Fatalf("WriteTrace: ok=%v err=%v", ok, err)
+	if err := obs.WriteChromeTrace(&buf, s.TraceRecords(jb.ID)); err != nil {
+		t.Fatalf("WriteChromeTrace: %v", err)
 	}
 	var doc struct {
 		TraceEvents []json.RawMessage `json:"traceEvents"`

@@ -134,9 +134,6 @@ func (t *Tech) MLEFPairHeight(minorityFrac float64) int64 {
 	return snapped
 }
 
-// SnapToSite rounds x down to the site grid relative to origin 0.
-func (t *Tech) SnapToSite(x int64) int64 { return geom.SnapDown(x, t.SiteWidth) }
-
 // SitesFor returns the number of sites needed to hold width w.
 func (t *Tech) SitesFor(w int64) int64 {
 	return geom.SnapUp(w, t.SiteWidth) / t.SiteWidth

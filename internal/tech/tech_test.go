@@ -72,11 +72,8 @@ func TestMLEFPairHeightBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestSnapToSiteAndSitesFor(t *testing.T) {
+func TestSitesFor(t *testing.T) {
 	tc := Default()
-	if got := tc.SnapToSite(100); got != 54 {
-		t.Errorf("SnapToSite(100) = %d, want 54", got)
-	}
 	if got := tc.SitesFor(54); got != 1 {
 		t.Errorf("SitesFor(54) = %d, want 1", got)
 	}
