@@ -392,6 +392,14 @@ func TestWorkerPartitionLeaseExpiresAndReroutes(t *testing.T) {
 	dir := t.TempDir()
 	opt := remoteOptions(w0.URL(), w1.URL())
 	opt.JournalDir = dir
+	// The partitioned worker's probes fail from setMode on, and Submit's
+	// journal fsync can hold the job back for several probe intervals. With
+	// the shared threshold of 2 the circuit could open before a dispatcher
+	// took the job, which then left through a refused dispatch without ever
+	// holding a lease. No probe run in this test reaches 1000 failures
+	// (4 s against a job done within two leases), so only lease expiry can
+	// move the job off remote-0.
+	opt.BreakerThreshold = 1000
 	s := newSched(t, opt)
 
 	req := reqForLane(t, s, 0)
