@@ -41,7 +41,8 @@ type SpanRecord struct {
 	Kind string `json:"kind"`
 	// StartUS is the record's wall-clock start, unix microseconds.
 	StartUS int64 `json:"start_us"`
-	// DurUS is the span duration in microseconds (0 for instants).
+	// DurUS is the span duration in microseconds, at least 1 for spans
+	// (0 for instants).
 	DurUS int64          `json:"dur_us,omitempty"`
 	Args  map[string]any `json:"args,omitempty"`
 }
@@ -131,7 +132,8 @@ func (s *Span) SetArg(key string, value any) {
 	s.args[key] = value
 }
 
-// End closes the span and records it.
+// End closes the span and records it. A span shorter than 1 µs records
+// 1 µs, so every span record carries a duration.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -145,7 +147,7 @@ func (s *Span) End() {
 		Proc:    s.tr.proc,
 		Kind:    "span",
 		StartUS: s.start.UnixMicro(),
-		DurUS:   now.Sub(s.start).Microseconds(),
+		DurUS:   max(1, now.Sub(s.start).Microseconds()),
 		Args:    s.args,
 	})
 }

@@ -91,6 +91,37 @@ func TestWriteJSONFormat(t *testing.T) {
 	}
 }
 
+// TestSpanDurationAtLeastOneMicrosecond checks that a span ended within a
+// microsecond of its start still records a duration, so neither its
+// SpanRecord (dur_us) nor its Chrome "X" event (dur) drops the field.
+func TestSpanDurationAtLeastOneMicrosecond(t *testing.T) {
+	tr := NewTracer()
+	ctx := WithTracer(context.Background(), tr)
+	for i := 0; i < 100; i++ {
+		StartSpan(ctx, "blink").End()
+	}
+	for _, r := range tr.Records() {
+		if r.DurUS < 1 {
+			t.Fatalf("span %q recorded dur_us=%d, want at least 1", r.Name, r.DurUS)
+		}
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range doc.TraceEvents {
+		if ev["ph"] == "X" && ev["dur"] == nil {
+			t.Fatalf("complete event without dur: %v", ev)
+		}
+	}
+}
+
 func TestTracerConcurrent(t *testing.T) {
 	tr := NewTracer()
 	ctx := WithTracer(context.Background(), tr)

@@ -21,21 +21,17 @@ const (
 // WireResult or drained later from /worker/v1/spans), and scheduler instant
 // events — accumulate here and are merged into one Chrome timeline by
 // GET /v1/jobs/{id}/trace. Bounded FIFO over jobs, like Results: old jobs'
-// traces are evicted in insertion order once capacity jobs are held.
+// traces are evicted in insertion order once DefaultTraceCapacity jobs are
+// held.
 type Traces struct {
 	mu    sync.Mutex
-	cap   int
 	m     map[string][]obs.SpanRecord
 	order []string
 }
 
-// NewTraces builds a trace store holding at most capacity jobs
-// (DefaultTraceCapacity when <= 0).
-func NewTraces(capacity int) *Traces {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
-	return &Traces{cap: capacity, m: make(map[string][]obs.SpanRecord)}
+// NewTraces builds a trace store holding at most DefaultTraceCapacity jobs.
+func NewTraces() *Traces {
+	return &Traces{m: make(map[string][]obs.SpanRecord)}
 }
 
 // Add appends records to job's span set, evicting the oldest job if job is
@@ -48,7 +44,7 @@ func (t *Traces) Add(job string, recs ...obs.SpanRecord) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, ok := t.m[job]; !ok {
-		if len(t.order) >= t.cap {
+		if len(t.order) >= DefaultTraceCapacity {
 			oldest := t.order[0]
 			t.order = t.order[1:]
 			delete(t.m, oldest)
