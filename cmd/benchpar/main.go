@@ -46,7 +46,7 @@ type Report struct {
 	Reps      int        `json:"reps"`
 	Workloads []Workload `json:"workloads"`
 	// Scale is the million-cell suite (benchpar -scale N): one large design
-	// driven through generation, the HPWL kernel, streaming DEF I/O and an
+	// driven through generation, the HPWL kernel, a streaming DEF write and an
 	// end-to-end greedy flow, with heap per cell recorded. Absent when
 	// -scale was not requested.
 	Scale *ScaleReport `json:"scale,omitempty"`
@@ -63,10 +63,9 @@ type ScaleReport struct {
 	AoSHeapBytesPerCell float64 `json:"aos_heap_bytes_per_cell"`
 	// HPWL metric kernel over the whole design.
 	HPWLAoSMS float64 `json:"hpwl_aos_ms"`
-	// Streaming DEF I/O: write via DEFWriter, re-read via ScanDEF.
+	// Streaming DEF write of the generated design to a file.
 	DEFBytes   int64   `json:"def_bytes"`
 	DEFWriteMS float64 `json:"def_write_ms"`
-	DEFScanMS  float64 `json:"def_scan_ms"`
 	// End-to-end flow with the greedy RAP backend: prepare (synthesis,
 	// mLEF, global place, uniform legalize) plus the full Flow (5) run,
 	// final placement streamed back out as DEF.
@@ -142,8 +141,8 @@ func main() {
 		rep.Scale = sr
 		fmt.Printf("%-24s %d cells: gen %.0f ms, %.1f B/cell heap, HPWL %.0f ms\n",
 			"Scale/"+sr.Testcase, sr.Cells, sr.GenMS, sr.AoSHeapBytesPerCell, sr.HPWLAoSMS)
-		fmt.Printf("%-24s DEF %d MB: write %.0f ms, scan %.0f ms; flow(%s) prep %.0f ms + run %.0f ms\n",
-			"", sr.DEFBytes>>20, sr.DEFWriteMS, sr.DEFScanMS, sr.FlowSolver, sr.FlowPrepMS, sr.FlowRunMS)
+		fmt.Printf("%-24s DEF %d MB: write %.0f ms; flow(%s) prep %.0f ms + run %.0f ms\n",
+			"", sr.DEFBytes>>20, sr.DEFWriteMS, sr.FlowSolver, sr.FlowPrepMS, sr.FlowRunMS)
 	}
 
 	buf, err := json.MarshalIndent(&rep, "", "  ")
@@ -158,7 +157,7 @@ func main() {
 
 // runScale drives one large design (nova_300 rescaled to targetCells) through
 // the whole data path: generation with per-cell heap accounting, HPWL,
-// streaming DEF write + re-scan through a file, and an end-to-end Flow (5)
+// a streaming DEF write to a file, and an end-to-end Flow (5)
 // run with the greedy RAP backend. Every stage is timed once — at a million
 // cells the interesting number is "does it complete and in what footprint",
 // not best-of-N variance.
@@ -190,8 +189,8 @@ func runScale(targetCells, jobs int) (*ScaleReport, error) {
 	d.TotalHPWL()
 	sr.HPWLAoSMS = msSince(start)
 
-	// Streaming DEF out to a real file and back: the design text never
-	// materialises in memory in either direction.
+	// Streaming DEF out to a real file: the design text never materialises
+	// in memory.
 	tmp, err := os.CreateTemp("", "benchpar-scale-*.def")
 	if err != nil {
 		return nil, err
@@ -205,21 +204,6 @@ func runScale(targetCells, jobs int) (*ScaleReport, error) {
 	sr.DEFWriteMS = msSince(start)
 	if st, err := tmp.Stat(); err == nil {
 		sr.DEFBytes = st.Size()
-	}
-	if _, err := tmp.Seek(0, 0); err != nil {
-		return nil, err
-	}
-	scanned := 0
-	start = time.Now()
-	err = lefdef.ScanDEF(tmp, lefdef.DEFVisitor{
-		Component: func(lefdef.DEFComponent) error { scanned++; return nil },
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scan DEF: %w", err)
-	}
-	sr.DEFScanMS = msSince(start)
-	if scanned != sr.Cells {
-		return nil, fmt.Errorf("scan DEF: %d components, want %d", scanned, sr.Cells)
 	}
 
 	// Drop the standalone copy before the flow allocates its own, so the

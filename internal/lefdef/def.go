@@ -1,174 +1,60 @@
 package lefdef
 
 import (
+	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 
-	"mthplace/internal/celllib"
-	"mthplace/internal/geom"
 	"mthplace/internal/netlist"
-	"mthplace/internal/tech"
 )
 
 // WriteDEF serialises a design in the compact DEF subset. All distances are
-// DBU. The clock period and clock net are carried as PROPERTY records.
-// It streams through DEFWriter, so memory stays flat regardless of design
-// size.
+// DBU. The clock period and clock net are carried as PROPERTY and USE CLOCK
+// records. Records stream through one buffered writer, whose errors are
+// sticky and returned by the final Flush, so memory stays flat regardless of
+// design size.
 func WriteDEF(w io.Writer, d *netlist.Design) error {
-	dw := NewDEFWriter(w)
-	dw.Header(d.Name, d.Die, d.ClockPeriodPs)
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "VERSION 5.8 ;\nDESIGN %s ;\nUNITS DISTANCE NANOMETERS 1 ;\n", d.Name)
+	fmt.Fprintf(bw, "DIEAREA ( %d %d ) ( %d %d ) ;\n", d.Die.Lo.X, d.Die.Lo.Y, d.Die.Hi.X, d.Die.Hi.Y)
+	fmt.Fprintf(bw, "PROPERTY clockPeriodPs %s ;\n", ftoa(d.ClockPeriodPs))
 
-	dw.BeginComponents(len(d.Insts))
+	fmt.Fprintf(bw, "COMPONENTS %d ;\n", len(d.Insts))
 	for _, in := range d.Insts {
-		dw.Component(DEFComponent{
-			Name: in.Name, Master: in.Master.Name,
-			X: in.Pos.X, Y: in.Pos.Y, Fixed: in.Fixed,
-		})
+		status := "PLACED"
+		if in.Fixed {
+			status = "FIXED"
+		}
+		fmt.Fprintf(bw, "- %s %s + %s ( %d %d ) N ;\n", in.Name, in.Master.Name, status, in.Pos.X, in.Pos.Y)
 	}
-	dw.EndComponents()
+	fmt.Fprintf(bw, "END COMPONENTS\n")
 
-	dw.BeginPorts(len(d.Ports))
+	fmt.Fprintf(bw, "PINS %d ;\n", len(d.Ports))
 	for _, p := range d.Ports {
-		dw.Port(DEFPort{Name: p.Name, Dir: p.Dir, X: p.Pos.X, Y: p.Pos.Y})
+		dir := "INPUT"
+		if p.Dir == netlist.Out {
+			dir = "OUTPUT"
+		}
+		fmt.Fprintf(bw, "- %s + DIRECTION %s + PLACED ( %d %d ) ;\n", p.Name, dir, p.Pos.X, p.Pos.Y)
 	}
-	dw.EndPorts()
+	fmt.Fprintf(bw, "END PINS\n")
 
-	dw.BeginNets(len(d.Nets))
-	var pins []DEFNetPin
+	fmt.Fprintf(bw, "NETS %d ;\n", len(d.Nets))
 	for ni, n := range d.Nets {
-		pins = pins[:0]
+		fmt.Fprintf(bw, "- %s", n.Name)
 		for _, ref := range n.Pins {
 			if ref.IsPort() {
-				pins = append(pins, DEFNetPin{Pin: d.Ports[ref.Pin].Name})
+				fmt.Fprintf(bw, " ( PIN %s )", d.Ports[ref.Pin].Name)
 			} else {
 				in := d.Insts[ref.Inst]
-				pins = append(pins, DEFNetPin{Comp: in.Name, Pin: in.Master.Pins[ref.Pin].Name})
+				fmt.Fprintf(bw, " ( %s %s )", in.Name, in.Master.Pins[ref.Pin].Name)
 			}
 		}
-		dw.Net(DEFNet{Name: n.Name, Pins: pins, Clock: int32(ni) == d.ClockNet})
-	}
-	dw.EndNets()
-	return dw.Close()
-}
-
-// MasterResolver maps a master name to its definition; used by ReadDEF.
-type MasterResolver func(name string) *celllib.Master
-
-// LibraryResolver adapts a celllib.Library to a MasterResolver.
-func LibraryResolver(lib *celllib.Library) MasterResolver {
-	return func(name string) *celllib.Master { return lib.Master(name) }
-}
-
-// ReadDEF parses the compact DEF subset into a design. Masters are resolved
-// through the supplied resolver (use LibraryResolver for library cells, or a
-// resolver over ReadLEF output for mLEF stand-ins). It is a materialising
-// adapter over ScanDEF; callers that don't need the pointer-per-object
-// design can use ScanDEF directly and keep memory flat.
-func ReadDEF(r io.Reader, t *tech.Tech, lib *celllib.Library, resolve MasterResolver) (*netlist.Design, error) {
-	d := &netlist.Design{Tech: t, Lib: lib, ClockNet: netlist.NoNet}
-	instByName := map[string]int32{}
-	portByName := map[string]int32{}
-	err := ScanDEF(r, DEFVisitor{
-		Design: func(name string) error {
-			d.Name = name
-			return nil
-		},
-		DieArea: func(die geom.Rect) error {
-			d.Die = die
-			return nil
-		},
-		Property: func(key, val string) error {
-			if key == "clockPeriodPs" {
-				f, err := strconv.ParseFloat(val, 64)
-				if err != nil {
-					return fmt.Errorf("lefdef: bad clock period %q", val)
-				}
-				d.ClockPeriodPs = f
-			}
-			return nil
-		},
-		Component: func(c DEFComponent) error {
-			m := resolve(c.Master)
-			if m == nil {
-				return fmt.Errorf("lefdef: unknown master %q for component %q", c.Master, c.Name)
-			}
-			idx := d.AddInstance(c.Name, m)
-			in := d.Insts[idx]
-			in.Pos = geom.Point{X: c.X, Y: c.Y}
-			in.Fixed = c.Fixed
-			instByName[c.Name] = idx
-			return nil
-		},
-		Port: func(p DEFPort) error {
-			portByName[p.Name] = d.AddPort(p.Name, p.Dir, geom.Point{X: p.X, Y: p.Y})
-			return nil
-		},
-		Net: func(n DEFNet) error {
-			net := d.AddNet(n.Name)
-			for _, ref := range n.Pins {
-				if ref.IsPort() {
-					pi, ok := portByName[ref.Pin]
-					if !ok {
-						return fmt.Errorf("lefdef: net %q: unknown port %q", n.Name, ref.Pin)
-					}
-					d.ConnectPort(pi, net)
-					continue
-				}
-				ii, ok := instByName[ref.Comp]
-				if !ok {
-					return fmt.Errorf("lefdef: net %q: unknown component %q", n.Name, ref.Comp)
-				}
-				pin := pinIndexByName(d.Insts[ii].Master, ref.Pin)
-				if pin < 0 {
-					return fmt.Errorf("lefdef: net %q: unknown pin %q on %q", n.Name, ref.Pin, ref.Comp)
-				}
-				d.Connect(ii, int32(pin), net)
-			}
-			if n.Clock {
-				d.ClockNet = net
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("lefdef: parsed design invalid: %w", err)
-	}
-	return d, nil
-}
-
-func readCoords(tok *tokenizer, n int) ([]geom.Point, error) {
-	out := make([]geom.Point, 0, n)
-	for len(out) < n {
-		tk, ok := tok.next()
-		if !ok {
-			return nil, fmt.Errorf("lefdef: unexpected end in coordinates")
+		if int32(ni) == d.ClockNet {
+			fmt.Fprintf(bw, " + USE CLOCK")
 		}
-		if tk != "(" {
-			continue
-		}
-		x, err1 := tok.nextInt()
-		y, err2 := tok.nextInt()
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("lefdef: bad coordinate pair")
-		}
-		if closer, _ := tok.next(); closer != ")" {
-			return nil, fmt.Errorf("lefdef: unclosed coordinate")
-		}
-		out = append(out, geom.Point{X: x, Y: y})
+		fmt.Fprintf(bw, " ;\n")
 	}
-	tok.skipStatement()
-	return out, nil
-}
-
-func pinIndexByName(m *celllib.Master, name string) int {
-	for i, p := range m.Pins {
-		if p.Name == name {
-			return i
-		}
-	}
-	return -1
+	fmt.Fprintf(bw, "END NETS\nEND DESIGN\n")
+	return bw.Flush()
 }

@@ -2,20 +2,18 @@ package lefdef
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 
 	"mthplace/internal/celllib"
-	"mthplace/internal/geom"
 	"mthplace/internal/tech"
 )
 
 // WriteLEF serialises a set of masters in the compact LEF subset used by
 // this project. All distances are in DBU (nanometres). Timing and power
-// parameters are carried as PROPERTY records so the round trip is lossless.
+// parameters are carried as PROPERTY records.
 func WriteLEF(w io.Writer, t *tech.Tech, masters []*celllib.Master) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "VERSION 5.8 ;\nUNITS DATABASE NANOMETERS 1 ;\n")
@@ -52,276 +50,3 @@ func boolInt(b bool) int {
 }
 
 func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
-
-// ReadLEF parses the compact LEF subset back into masters.
-func ReadLEF(r io.Reader) ([]*celllib.Master, error) {
-	tok := newTokenizer(r)
-	var masters []*celllib.Master
-	for {
-		t, ok := tok.next()
-		if !ok {
-			break
-		}
-		switch t {
-		case "MACRO":
-			m, err := readMacro(tok)
-			if err != nil {
-				return nil, err
-			}
-			masters = append(masters, m)
-		case "END":
-			nxt, _ := tok.next()
-			if nxt == "LIBRARY" {
-				return masters, nil
-			}
-		default:
-			// VERSION/UNITS/SITE headers: skip to end of statement.
-			tok.skipStatement()
-		}
-	}
-	return masters, nil
-}
-
-func readMacro(tok *tokenizer) (*celllib.Master, error) {
-	name, ok := tok.next()
-	if !ok {
-		return nil, fmt.Errorf("lefdef: MACRO without name")
-	}
-	m := &celllib.Master{Name: name}
-	for {
-		t, ok := tok.next()
-		if !ok {
-			return nil, fmt.Errorf("lefdef: MACRO %s not terminated", name)
-		}
-		switch t {
-		case "END":
-			endName, _ := tok.next()
-			if endName != name {
-				return nil, fmt.Errorf("lefdef: MACRO %s terminated by END %s", name, endName)
-			}
-			return m, nil
-		case "CLASS":
-			tok.skipStatement()
-		case "SIZE":
-			w, err1 := tok.nextInt()
-			by, _ := tok.next()
-			h, err2 := tok.nextInt()
-			if err1 != nil || err2 != nil || by != "BY" {
-				return nil, fmt.Errorf("lefdef: MACRO %s: bad SIZE", name)
-			}
-			m.Width, m.RowH = w, h
-			tok.skipStatement()
-		case "PROPERTY":
-			if err := readProperty(tok, m); err != nil {
-				return nil, fmt.Errorf("lefdef: MACRO %s: %w", name, err)
-			}
-		case "PIN":
-			p, err := readPin(tok)
-			if err != nil {
-				return nil, fmt.Errorf("lefdef: MACRO %s: %w", name, err)
-			}
-			m.Pins = append(m.Pins, p)
-		default:
-			tok.skipStatement()
-		}
-	}
-}
-
-func readProperty(tok *tokenizer, m *celllib.Master) error {
-	for {
-		key, ok := tok.next()
-		if !ok {
-			return fmt.Errorf("unterminated PROPERTY")
-		}
-		if key == ";" {
-			return nil
-		}
-		val, ok := tok.next()
-		if !ok {
-			return fmt.Errorf("PROPERTY %s without value", key)
-		}
-		switch key {
-		case "kind":
-			v, err := strconv.Atoi(val)
-			if err != nil {
-				return err
-			}
-			m.Kind = celllib.Kind(v)
-		case "drive":
-			v, err := strconv.Atoi(val)
-			if err != nil {
-				return err
-			}
-			m.Drive = v
-		case "height":
-			v, err := strconv.Atoi(val)
-			if err != nil {
-				return err
-			}
-			m.Height = tech.TrackHeight(v)
-		case "vt":
-			v, err := strconv.Atoi(val)
-			if err != nil {
-				return err
-			}
-			m.VT = celllib.VT(v)
-		case "seq":
-			m.Sequential = val == "1"
-		case "delay":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return err
-			}
-			m.IntrinsicDelay = f
-		case "res":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return err
-			}
-			m.DriveRes = f
-		case "energy":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return err
-			}
-			m.InternalEnergy = f
-		case "leak":
-			f, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return err
-			}
-			m.Leakage = f
-		}
-	}
-}
-
-func readPin(tok *tokenizer) (celllib.PinDef, error) {
-	var p celllib.PinDef
-	name, ok := tok.next()
-	if !ok {
-		return p, fmt.Errorf("PIN without name")
-	}
-	p.Name = name
-	for {
-		t, ok := tok.next()
-		if !ok {
-			return p, fmt.Errorf("PIN %s unterminated", name)
-		}
-		switch t {
-		case ";":
-			return p, nil
-		case "DIRECTION":
-			dir, _ := tok.next()
-			if dir == "OUTPUT" {
-				p.Dir = celllib.Output
-			} else {
-				p.Dir = celllib.Input
-			}
-		case "CAP":
-			v, _ := tok.next()
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return p, fmt.Errorf("PIN %s: bad CAP %q", name, v)
-			}
-			p.Cap = f
-		case "ORIGIN":
-			x, err1 := tok.nextInt()
-			y, err2 := tok.nextInt()
-			if err1 != nil || err2 != nil {
-				return p, fmt.Errorf("PIN %s: bad ORIGIN", name)
-			}
-			p.Offset = geom.Point{X: x, Y: y}
-		}
-	}
-}
-
-// tokenizer splits the LEF/DEF text into whitespace-delimited tokens,
-// treating parentheses and semicolons as standalone tokens and '#' as a
-// comment to end of line. Tokens are produced by a byte-level bufio.Scanner
-// split function, so statement and comment length is unbounded — the old
-// line-based scanner capped a single NETS statement at its buffer size,
-// which million-cell DEF overflows. Only one token needs to fit in the
-// buffer (names and numbers, never a whole line).
-type tokenizer struct {
-	sc        *bufio.Scanner
-	inComment bool
-}
-
-func newTokenizer(r io.Reader) *tokenizer {
-	t := &tokenizer{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-	sc.Split(t.split)
-	t.sc = sc
-	return t
-}
-
-func isTokenSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f'
-}
-
-// split implements bufio.SplitFunc. It carries one bit of state — whether
-// the scan position is inside a '#' comment — so comments longer than the
-// read buffer are consumed incrementally instead of growing it.
-func (t *tokenizer) split(data []byte, atEOF bool) (advance int, token []byte, err error) {
-	i := 0
-	for {
-		if t.inComment {
-			j := bytes.IndexByte(data[i:], '\n')
-			if j < 0 {
-				return len(data), nil, nil // discard, stay in comment
-			}
-			t.inComment = false
-			i += j + 1
-		}
-		for i < len(data) && isTokenSpace(data[i]) {
-			i++
-		}
-		if i < len(data) && data[i] == '#' {
-			t.inComment = true
-			i++
-			continue
-		}
-		break
-	}
-	if i >= len(data) {
-		return i, nil, nil // all whitespace/comment: consume and refill
-	}
-	switch data[i] {
-	case '(', ')', ';':
-		return i + 1, data[i : i+1], nil
-	}
-	j := i
-	for j < len(data) && !isTokenSpace(data[j]) && data[j] != '(' && data[j] != ')' && data[j] != ';' && data[j] != '#' {
-		j++
-	}
-	if j == len(data) && !atEOF {
-		return i, nil, nil // word may continue past the buffer: refill
-	}
-	return j, data[i:j], nil
-}
-
-func (t *tokenizer) next() (string, bool) {
-	if !t.sc.Scan() {
-		return "", false
-	}
-	return t.sc.Text(), true
-}
-
-func (t *tokenizer) nextInt() (int64, error) {
-	s, ok := t.next()
-	if !ok {
-		return 0, fmt.Errorf("lefdef: unexpected end of input")
-	}
-	return strconv.ParseInt(s, 10, 64)
-}
-
-// skipStatement consumes tokens up to and including the next semicolon.
-func (t *tokenizer) skipStatement() {
-	for {
-		tk, ok := t.next()
-		if !ok || tk == ";" {
-			return
-		}
-	}
-}

@@ -1,5 +1,6 @@
-// Package lefdef provides serialisation of designs in a compact LEF/DEF
-// subset and the modified-LEF (mLEF) transform from the paper.
+// Package lefdef writes designs out in a compact LEF/DEF subset, the
+// hand-off to a P&R tool, and implements the modified-LEF (mLEF) transform
+// from the paper.
 //
 // The mLEF technique ([4], [10], §III of the paper) remaps every mixed
 // track-height cell onto a single uniform height while preserving its area,
