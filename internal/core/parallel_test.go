@@ -9,8 +9,7 @@ import (
 )
 
 // ctxWithJobs returns a context carrying a private pool bounded to jobs
-// workers — the scoped replacement for the old global par.SetJobs knob, so
-// the equivalence tests no longer mutate process state.
+// workers, so the equivalence tests never touch process state.
 func ctxWithJobs(jobs int) context.Context {
 	return par.WithPool(context.Background(), par.NewPool(jobs))
 }

@@ -83,8 +83,7 @@ func (c Config) withDefaults() Config {
 		f.FencePasses = def.FencePasses
 	}
 	// Experiment drivers fan the per-spec loops out on the config's pool;
-	// resolve it once so every runner shares the same scoped bound (no
-	// global par.SetJobs side effect).
+	// resolve it once so every runner shares the same scoped bound.
 	f.Pool = f.EffectivePool()
 	return c
 }

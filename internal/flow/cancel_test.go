@@ -101,11 +101,9 @@ func TestRunCancelMidFlow(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunnersIndependentJobs is the regression test for the old
-// ApplyJobs footgun: two runners with Jobs=1 and Jobs=8 executing at the
-// same time must each reproduce the serial reference bit-for-bit. Under
-// the global par.SetJobs knob the second runner's setting stomped the
-// first; scoped pools make the bound private to each runner.
+// TestConcurrentRunnersIndependentJobs: two runners with Jobs=1 and Jobs=8
+// executing at the same time must each reproduce the serial reference
+// bit-for-bit, because each runner's pool bound is private to it.
 func TestConcurrentRunnersIndependentJobs(t *testing.T) {
 	spec := synth.TableII()[0]
 	mkCfg := func(jobs int) Config {

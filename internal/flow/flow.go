@@ -115,9 +115,8 @@ type Config struct {
 	// Jobs bounds this runner's worker pool: 1 forces fully sequential
 	// execution, 0 inherits the process default (GOMAXPROCS, or the
 	// MTHPLACE_JOBS environment override). Results are identical at any
-	// setting; see DESIGN.md §7. Unlike the old global par.SetJobs knob,
-	// the bound is scoped to the runner, so concurrent runners with
-	// different Jobs settings do not interfere.
+	// setting; see DESIGN.md §7. The bound is scoped to the runner, so
+	// concurrent runners with different Jobs settings do not interfere.
 	Jobs int
 	// Pool, when non-nil, is used directly instead of building one from
 	// Jobs — it lets several runners share one budgeted pool (the job

@@ -3,22 +3,17 @@ package par
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
-func withJobs(t *testing.T, n int) {
-	t.Helper()
-	old := Default.SetJobs(n)
-	t.Cleanup(func() { Default.SetJobs(old) })
-}
-
 func TestForCoversEveryIndexOnce(t *testing.T) {
 	for _, jobs := range []int{1, 2, 8, 33} {
-		withJobs(t, jobs)
+		p := NewPool(jobs)
 		for _, n := range []int{0, 1, 7, 256, 1000} {
 			hits := make([]int32, n)
-			For(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+			p.For(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
 			for i, h := range hits {
 				if h != 1 {
 					t.Fatalf("jobs=%d n=%d: index %d hit %d times", jobs, n, i, h)
@@ -29,9 +24,8 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 }
 
 func TestForErrReturnsLowestObservedIndex(t *testing.T) {
-	withJobs(t, 8)
 	wantErr := errors.New("boom")
-	err := ForErr(100, func(i int) error {
+	err := NewPool(8).ForErr(100, func(i int) error {
 		if i%10 == 3 {
 			return fmt.Errorf("i=%d: %w", i, wantErr)
 		}
@@ -44,8 +38,8 @@ func TestForErrReturnsLowestObservedIndex(t *testing.T) {
 	// with dynamic scheduling an earlier failing index may have been skipped,
 	// but index 3 is always claimed before any error can stop the run when
 	// jobs=1.
-	withJobs(t, 1)
-	err = ForErr(100, func(i int) error {
+	seq := NewPool(1)
+	err = seq.ForErr(100, func(i int) error {
 		if i%10 == 3 {
 			return fmt.Errorf("i=%d: %w", i, wantErr)
 		}
@@ -54,15 +48,14 @@ func TestForErrReturnsLowestObservedIndex(t *testing.T) {
 	if err == nil || err.Error() != "i=3: boom" {
 		t.Fatalf("sequential first error = %v, want i=3", err)
 	}
-	if err := ForErr(50, func(int) error { return nil }); err != nil {
+	if err := seq.ForErr(50, func(int) error { return nil }); err != nil {
 		t.Fatalf("nil-error run returned %v", err)
 	}
 }
 
 func TestMapOrdersResults(t *testing.T) {
 	for _, jobs := range []int{1, 8} {
-		withJobs(t, jobs)
-		out, err := Map(500, func(i int) (int, error) { return i * i, nil })
+		out, err := MapOn(NewPool(jobs), 500, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,8 +65,7 @@ func TestMapOrdersResults(t *testing.T) {
 			}
 		}
 	}
-	withJobs(t, 8)
-	if _, err := Map(10, func(i int) (int, error) {
+	if _, err := MapOn(NewPool(8), 10, func(i int) (int, error) {
 		if i == 7 {
 			return 0, errors.New("x")
 		}
@@ -87,11 +79,9 @@ func TestForChunksCanonicalBoundaries(t *testing.T) {
 	// Chunk boundaries must depend only on n, not on the worker count.
 	for _, n := range []int{0, 1, chunkSize - 1, chunkSize, chunkSize + 1, 5*chunkSize + 17} {
 		var bounds1, bounds8 [][2]int
-		withJobs(t, 1)
-		ForChunks(n, func(ci, lo, hi int) { bounds1 = append(bounds1, [2]int{lo, hi}) })
-		withJobs(t, 8)
+		NewPool(1).ForChunks(n, func(ci, lo, hi int) { bounds1 = append(bounds1, [2]int{lo, hi}) })
 		got := make([][2]int, NumChunks(n))
-		ForChunks(n, func(ci, lo, hi int) { got[ci] = [2]int{lo, hi} })
+		NewPool(8).ForChunks(n, func(ci, lo, hi int) { got[ci] = [2]int{lo, hi} })
 		bounds8 = got
 		if len(bounds1) != NumChunks(n) || len(bounds8) != NumChunks(n) {
 			t.Fatalf("n=%d: chunk counts %d/%d, want %d", n, len(bounds1), len(bounds8), NumChunks(n))
@@ -119,9 +109,9 @@ func TestChunkedFloatReductionDeterministic(t *testing.T) {
 	for i := range vals {
 		vals[i] = 1e-3 * float64((i*2654435761)%1000003) / 1000003
 	}
-	sum := func() float64 {
+	sum := func(p *Pool) float64 {
 		parts := make([]float64, NumChunks(n))
-		ForChunks(n, func(ci, lo, hi int) {
+		p.ForChunks(n, func(ci, lo, hi int) {
 			var s float64
 			for i := lo; i < hi; i++ {
 				s += vals[i]
@@ -134,20 +124,18 @@ func TestChunkedFloatReductionDeterministic(t *testing.T) {
 		}
 		return total
 	}
-	withJobs(t, 1)
-	a := sum()
-	withJobs(t, 7)
-	b := sum()
+	a := sum(NewPool(1))
+	b := sum(NewPool(7))
 	if a != b {
 		t.Fatalf("chunked reduction differs: %x vs %x", a, b)
 	}
 }
 
 func TestNestedCallsStayBounded(t *testing.T) {
-	withJobs(t, 4)
+	p := NewPool(4)
 	var peak, cur atomic.Int64
-	For(16, func(int) {
-		For(16, func(int) {
+	p.For(16, func(int) {
+		p.For(16, func(int) {
 			c := cur.Add(1)
 			for {
 				p := peak.Load()
@@ -167,29 +155,39 @@ func TestNestedCallsStayBounded(t *testing.T) {
 }
 
 func TestWorkerPanicPropagates(t *testing.T) {
-	withJobs(t, 8)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("panic did not propagate to the caller")
 		}
 	}()
-	For(64, func(i int) {
+	NewPool(8).For(64, func(i int) {
 		if i == 13 {
 			panic("worker 13")
 		}
 	})
 }
 
-func TestSetJobsRoundTrip(t *testing.T) {
-	old := Default.SetJobs(3)
-	if Jobs() != 3 {
-		t.Fatalf("Jobs() = %d", Jobs())
+func TestNewPoolBound(t *testing.T) {
+	if got := NewPool(3).Jobs(); got != 3 {
+		t.Fatalf("NewPool(3).Jobs() = %d", got)
 	}
-	Default.SetJobs(0) // reset to default
-	if Jobs() < 1 {
-		t.Fatalf("default jobs %d", Jobs())
+	t.Setenv("MTHPLACE_JOBS", "")
+	if got := NewPool(0).Jobs(); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("default jobs %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	Default.SetJobs(old)
+	t.Setenv("MTHPLACE_JOBS", "5")
+	if got := NewPool(0).Jobs(); got != 5 {
+		t.Fatalf("MTHPLACE_JOBS=5: jobs %d", got)
+	}
+	if got := NewPool(2).Jobs(); got != 2 {
+		t.Fatalf("explicit bound must win over MTHPLACE_JOBS: jobs %d", got)
+	}
+	for _, bad := range []string{"0", "-3", "many"} {
+		t.Setenv("MTHPLACE_JOBS", bad)
+		if got := resolveJobs(0); got != runtime.GOMAXPROCS(0) {
+			t.Fatalf("MTHPLACE_JOBS=%q: jobs %d, want GOMAXPROCS", bad, got)
+		}
+	}
 }
 
 func TestGrainFor(t *testing.T) {
@@ -224,7 +222,7 @@ func TestGrainFor(t *testing.T) {
 func BenchmarkForCheapIterations(b *testing.B) {
 	var sink atomic.Int64
 	for b.Loop() {
-		For(1<<16, func(i int) {
+		Default.For(1<<16, func(i int) {
 			if i&1023 == 0 {
 				sink.Add(1)
 			}
@@ -234,11 +232,11 @@ func BenchmarkForCheapIterations(b *testing.B) {
 
 // TestStress hammers nested For/Map under the race detector.
 func TestStress(t *testing.T) {
-	withJobs(t, 8)
+	p := NewPool(8)
 	for round := 0; round < 20; round++ {
-		out, err := Map(32, func(i int) (int64, error) {
+		out, err := MapOn(p, 32, func(i int) (int64, error) {
 			var local int64
-			ForChunks(512, func(ci, lo, hi int) {
+			p.ForChunks(512, func(ci, lo, hi int) {
 				for j := lo; j < hi; j++ {
 					atomic.AddInt64(&local, int64(j%7))
 				}
