@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"time"
 
+	"mthplace/internal/errs"
+	"mthplace/internal/fault"
 	"mthplace/internal/finflex"
 	"mthplace/internal/lefdef"
 	"mthplace/internal/legalize"
+	"mthplace/internal/rowgrid"
 	"mthplace/internal/tech"
 )
 
@@ -19,8 +22,15 @@ const FlowFinFlex ID = 6
 // (FinFlex-style, Fig. 1(b)): no row assignment problem is solved — the row
 // structure comes from the pattern — and cells are bound to pattern rows
 // with a capacity-aware nearest-row assignment, then legalized fence-aware.
-// Pass a nil pattern to auto-fit the sparsest feasible one.
-func (r *Runner) RunFinFlex(ctx context.Context, pattern finflex.Pattern, withRoute bool) (*Result, error) {
+// Pass a nil pattern to auto-fit the sparsest feasible one. Like Run, it
+// stages the assignment and legalization behind the solve and legalize
+// spans and fault points, and returns a panic as an ErrPanic-classed error.
+func (r *Runner) RunFinFlex(ctx context.Context, pattern finflex.Pattern, withRoute bool) (res *Result, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			res, err = nil, errs.FromPanic(rec, "flow: %v", FlowFinFlex)
+		}
+	}()
 	ctx = r.withPool(ctx)
 	d := r.Base.Clone()
 	met := Metrics{Flow: FlowFinFlex, NumMinority: len(d.MinorityInstances())}
@@ -30,23 +40,25 @@ func (r *Runner) RunFinFlex(ctx context.Context, pattern finflex.Pattern, withRo
 	// nearest-row binding.
 	rapStart := time.Now()
 	var asg *finflex.Assignment
-	var err error
-	if pattern == nil {
-		p, ms, ferr := finflex.FitPattern(d, r.Tech, 0)
-		if ferr != nil {
-			return nil, ferr
+	if err := stage(ctx, "solve", func(ctx context.Context) error {
+		if err := fault.Inject(ctx, PointSolve); err != nil {
+			return fmt.Errorf("finflex assignment: %w", err)
 		}
-		pattern = p
-		asg, err = finflex.Assign(d, ms)
-	} else {
-		ms, ferr := finflex.Stack(d.Die, r.Tech, pattern)
-		if ferr != nil {
-			return nil, ferr
+		var ms *rowgrid.MixedStack
+		var err error
+		if pattern == nil {
+			if pattern, ms, err = finflex.FitPattern(d, r.Tech, 0); err != nil {
+				return err
+			}
+		} else if ms, err = finflex.Stack(d.Die, r.Tech, pattern); err != nil {
+			return err
 		}
-		asg, err = finflex.Assign(d, ms)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("finflex assignment: %w", err)
+		if asg, err = finflex.Assign(d, ms); err != nil {
+			return fmt.Errorf("finflex assignment: %w", err)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	met.RAPTime = time.Since(rapStart)
 	met.NminR = len(asg.Stack.PairsOf(tech.Tall7p5T))
@@ -55,8 +67,16 @@ func (r *Runner) RunFinFlex(ctx context.Context, pattern finflex.Pattern, withRo
 		return nil, err
 	}
 	legalStart := time.Now()
-	if err := legalize.FenceAware(ctx, d, asg.Stack, asg.SeedY, r.Cfg.FencePasses); err != nil {
-		return nil, fmt.Errorf("finflex legalization (pattern %v): %w", pattern, err)
+	if err := stage(ctx, "legalize", func(ctx context.Context) error {
+		if err := fault.Inject(ctx, PointLegalize); err != nil {
+			return fmt.Errorf("finflex legalization: %w", err)
+		}
+		if err := legalize.FenceAware(ctx, d, asg.Stack, asg.SeedY, r.Cfg.FencePasses); err != nil {
+			return fmt.Errorf("finflex legalization (pattern %v): %w", pattern, err)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	met.LegalTime = time.Since(legalStart)
 	return r.finish(ctx, d, asg.Stack, met, start, withRoute)

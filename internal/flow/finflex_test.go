@@ -2,9 +2,13 @@ package flow
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"testing"
 
 	"mthplace/internal/check"
+	"mthplace/internal/errs"
+	"mthplace/internal/fault"
 	"mthplace/internal/finflex"
 	"mthplace/internal/synth"
 	"mthplace/internal/tech"
@@ -82,5 +86,30 @@ func TestRunFinFlexVsFlow5(t *testing.T) {
 	// the customised rows by much (allow 10% noise on tiny designs).
 	if float64(ff.Metrics.HPWL) < 0.9*float64(f5.Metrics.HPWL) {
 		t.Errorf("finflex HPWL %d improbably beats flow5 %d", ff.Metrics.HPWL, f5.Metrics.HPWL)
+	}
+}
+
+// TestRunFinFlexFaultPoints: a panic injected at the legalize boundary
+// surfaces as ErrPanic instead of unwinding the caller, and an armed plan
+// with no rules leaves the result unchanged.
+func TestRunFinFlexFaultPoints(t *testing.T) {
+	r := newRunner(t, 0.02)
+	want, err := r.RunFinFlex(context.Background(), nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := fault.WithPlan(context.Background(),
+		fault.NewPlan(fault.Rule{Point: PointLegalize, Kind: fault.KindPanic}))
+	if _, err := r.RunFinFlex(ctx, nil, false); !errors.Is(err, errs.ErrPanic) {
+		t.Fatalf("err = %v, want ErrPanic", err)
+	}
+	got, err := r.RunFinFlex(fault.WithPlan(context.Background(), fault.NewPlan()), nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Metrics.HPWL != want.Metrics.HPWL || got.Metrics.Displacement != want.Metrics.Displacement ||
+		!slices.Equal(got.Design.Positions(), want.Design.Positions()) {
+		t.Errorf("empty fault plan changed the result: HPWL %d/%d, disp %d/%d",
+			got.Metrics.HPWL, want.Metrics.HPWL, got.Metrics.Displacement, want.Metrics.Displacement)
 	}
 }
