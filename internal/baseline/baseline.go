@@ -44,22 +44,20 @@ type Result struct {
 
 // Options tune the baseline.
 type Options struct {
-	// Fill is the target row fill used to size N_minR (default 0.88).
-	Fill float64
 	// KMeansIters bounds the Lloyd iterations (default 50).
 	KMeansIters int
 }
 
+// fill is the target row fill used to size N_minR.
+const fill = 0.88
+
 // DefaultOptions returns the values used in the experiments.
-func DefaultOptions() Options { return Options{Fill: 0.88, KMeansIters: 50} }
+func DefaultOptions() Options { return Options{KMeansIters: 50} }
 
 // AssignRows runs the [10]-style row assignment on a design in mLEF form
 // placed on uniform grid g.
 func AssignRows(d *netlist.Design, g rowgrid.PairGrid, opt Options) (*Result, error) {
 	start := time.Now()
-	if opt.Fill <= 0 || opt.Fill > 1 {
-		opt.Fill = 0.88
-	}
 	if opt.KMeansIters <= 0 {
 		opt.KMeansIters = 50
 	}
@@ -72,7 +70,7 @@ func AssignRows(d *netlist.Design, g rowgrid.PairGrid, opt Options) (*Result, er
 	for _, i := range minority {
 		totalW += d.Insts[i].TrueMaster().Width
 	}
-	nMinR := int(math.Ceil(float64(totalW) / (float64(capacity) * opt.Fill)))
+	nMinR := int(math.Ceil(float64(totalW) / (float64(capacity) * fill)))
 	if nMinR < 1 && len(minority) > 0 {
 		nMinR = 1
 	}

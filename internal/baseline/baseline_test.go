@@ -147,7 +147,7 @@ func TestAssignRowsNoMinority(t *testing.T) {
 
 func TestAssignRowsBadOptionsFallbacks(t *testing.T) {
 	d, g := placedDesign(t, 0.01)
-	res, err := AssignRows(d, g, Options{Fill: -1, KMeansIters: -5})
+	res, err := AssignRows(d, g, Options{KMeansIters: -5})
 	if err != nil {
 		t.Fatal(err)
 	}

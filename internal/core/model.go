@@ -166,13 +166,11 @@ type Model struct {
 type CostParams struct {
 	// Alpha weights displacement against ΔHPWL (paper: 0.75).
 	Alpha float64
-	// CapacityFactor derates row capacity (1.0 = paper's w(r)).
-	CapacityFactor float64
 }
 
 // DefaultCostParams mirror the paper's chosen parameters.
 func DefaultCostParams() CostParams {
-	return CostParams{Alpha: 0.75, CapacityFactor: 1.0}
+	return CostParams{Alpha: 0.75}
 }
 
 // BuildModel computes the f_cr matrix for all clusters × pairs on the
@@ -182,9 +180,6 @@ func DefaultCostParams() CostParams {
 func BuildModel(ctx context.Context, d *netlist.Design, g rowgrid.PairGrid, cl *Clusters, nMinR int, p CostParams) (*Model, error) {
 	if p.Alpha < 0 || p.Alpha > 1 {
 		return nil, fmt.Errorf("core: alpha %f out of [0,1]", p.Alpha)
-	}
-	if p.CapacityFactor <= 0 {
-		p.CapacityFactor = 1
 	}
 	if g.N == 0 {
 		return nil, fmt.Errorf("core: empty row grid")
@@ -196,7 +191,7 @@ func BuildModel(ctx context.Context, d *netlist.Design, g rowgrid.PairGrid, cl *
 		Clusters:    cl,
 		NR:          g.N,
 		NminR:       nMinR,
-		Cap:         int64(float64(2*g.Width()) * p.CapacityFactor),
+		Cap:         2 * g.Width(),
 		Cost:        make([][]float64, cl.N()),
 		PairCenterY: make([]int64, g.N),
 	}

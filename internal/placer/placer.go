@@ -40,13 +40,15 @@ type Options struct {
 	SolveSweeps int
 	// Seed randomises the initial jitter.
 	Seed int64
-	// AnchorBase is the initial anchor weight relative to net weight sum
-	// (default 0.03); it doubles every outer iteration.
-	AnchorBase float64
-	// BinTarget is the approximate cell count per spreading leaf bin
-	// (default 6).
-	BinTarget int
 }
+
+const (
+	// anchorBase is the initial anchor weight relative to net weight sum;
+	// it grows 1.8× every outer iteration.
+	anchorBase = 0.03
+	// binTarget is the approximate cell count per spreading leaf bin.
+	binTarget = 6
+)
 
 func (o Options) withDefaults() Options {
 	if o.OuterIters <= 0 {
@@ -54,12 +56,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SolveSweeps <= 0 {
 		o.SolveSweeps = 24
-	}
-	if o.AnchorBase <= 0 {
-		o.AnchorBase = 0.03
-	}
-	if o.BinTarget <= 0 {
-		o.BinTarget = 6
 	}
 	return o
 }
@@ -106,9 +102,9 @@ func Global(d *netlist.Design, opt Options) {
 	lambda := 0.0
 	for outer := 0; outer < opt.OuterIters; outer++ {
 		solve(d, nets, ws, cx, cy, ax, ay, movable, lambda, opt.SolveSweeps)
-		spread(d.Die, keys, totalArea, cx, cy, ax, ay, opt.BinTarget)
+		spread(d.Die, keys, totalArea, cx, cy, ax, ay, binTarget)
 		if outer == 0 {
-			lambda = opt.AnchorBase
+			lambda = anchorBase
 		} else {
 			lambda *= 1.8
 		}

@@ -21,18 +21,15 @@ type Options struct {
 	NetLength []int64
 	// Activity is the average toggle rate per clock cycle (default 0.15).
 	Activity float64
-	// ClockActivity is the clock net's toggle rate (always 1.0 by
-	// definition — two edges, one full cycle — kept configurable for
-	// experiments).
-	ClockActivity float64
 }
+
+// clockActivity is the clock net's toggle rate: 1.0 by definition, two
+// edges in one full cycle.
+const clockActivity = 1.0
 
 func (o Options) withDefaults() Options {
 	if o.Activity <= 0 {
 		o.Activity = 0.15
-	}
-	if o.ClockActivity <= 0 {
-		o.ClockActivity = 1.0
 	}
 	return o
 }
@@ -79,7 +76,7 @@ func Analyze(d *netlist.Design, opt Options) (*Result, error) {
 		}
 		act := opt.Activity
 		if int32(ni) == d.ClockNet {
-			act = opt.ClockActivity
+			act = clockActivity
 		}
 		res.SwitchingMW += 0.5 * act * c * vv * freq
 	}
@@ -88,7 +85,7 @@ func Analyze(d *netlist.Design, opt Options) (*Result, error) {
 		act := opt.Activity
 		if in.Master.Sequential {
 			// Flops toggle internally with the clock.
-			act = 0.5 * (opt.Activity + opt.ClockActivity)
+			act = 0.5 * (opt.Activity + clockActivity)
 		}
 		res.InternalMW += in.Master.InternalEnergy * act * freq
 		res.LeakageMW += in.Master.Leakage * 1e-6

@@ -24,27 +24,18 @@ type Options struct {
 	// NetLength optionally maps net index to routed length in DBU
 	// (route.Result.NetLength); nil falls back to net HPWL.
 	NetLength []int64
-	// SetupPs is the flip-flop setup time (default 8 ps).
-	SetupPs float64
-	// ClkQExtraPs adds clock-network launch latency (default 0, ideal
-	// clock).
-	ClkQExtraPs float64
-	// InputDelayPs is the arrival time at input ports (default 0.1·T
-	// imitating upstream logic, as signoff constraints normally do).
-	InputDelayFrac float64
 	// WantNetDetails additionally fills Result.NetArrival / NetSlack.
 	WantNetDetails bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.SetupPs <= 0 {
-		o.SetupPs = 8
-	}
-	if o.InputDelayFrac <= 0 {
-		o.InputDelayFrac = 0.1
-	}
-	return o
-}
+const (
+	// setupPs is the flip-flop setup time. The clock is ideal: flops launch
+	// with no clock-network latency.
+	setupPs = 8
+	// inputDelayFrac sets the arrival time at input ports to 0.1·T,
+	// imitating upstream logic, as signoff constraints normally do.
+	inputDelayFrac = 0.1
+)
 
 // Result of a timing run.
 type Result struct {
@@ -73,7 +64,6 @@ type Result struct {
 
 // Analyze runs STA on the design's current placement/routing.
 func Analyze(d *netlist.Design, opt Options) (*Result, error) {
-	opt = opt.withDefaults()
 	if d.ClockPeriodPs <= 0 {
 		return nil, fmt.Errorf("sta: design %s has no clock period", d.Name)
 	}
@@ -144,7 +134,7 @@ func Analyze(d *netlist.Design, opt Options) (*Result, error) {
 		}
 	}
 
-	inputDelay := opt.InputDelayFrac * d.ClockPeriodPs
+	inputDelay := inputDelayFrac * d.ClockPeriodPs
 
 	// Seed arrivals: input ports and sequential outputs.
 	for pi, p := range d.Ports {
@@ -162,7 +152,7 @@ func Analyze(d *netlist.Design, opt Options) (*Result, error) {
 			out := in.Master.OutputPin()
 			net := in.PinNets[out]
 			if net != netlist.NoNet {
-				a := opt.ClkQExtraPs + in.Master.IntrinsicDelay + in.Master.DriveRes*netLoad[net]
+				a := in.Master.IntrinsicDelay + in.Master.DriveRes*netLoad[net]
 				if a > arr[net] {
 					arr[net] = a
 				}
@@ -259,7 +249,7 @@ func Analyze(d *netlist.Design, opt Options) (*Result, error) {
 				continue
 			}
 			wd := netWireRes[net] * (netWireCap[net]/2 + in.Master.InputCap(p))
-			checkEndpoint(arr[net]+wd, T-opt.SetupPs)
+			checkEndpoint(arr[net]+wd, T-setupPs)
 		}
 	}
 	for _, p := range d.Ports {
@@ -279,7 +269,7 @@ func Analyze(d *netlist.Design, opt Options) (*Result, error) {
 				res.NetSlack[ni] = math.Inf(1)
 				continue
 			}
-			res.NetSlack[ni] = T - opt.SetupPs - arr[ni]
+			res.NetSlack[ni] = T - setupPs - arr[ni]
 		}
 	}
 	return res, nil

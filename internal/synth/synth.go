@@ -129,31 +129,30 @@ type Options struct {
 	// Seed selects the deterministic random stream; the circuit name and
 	// clock are mixed in so every testcase differs.
 	Seed int64
-	// SeqFrac is the flip-flop fraction of all instances.
-	SeqFrac float64
-	// WindowFrac sizes the locality window for input selection as a
-	// fraction of the instance count.
-	WindowFrac float64
-	// LongRangeProb is the probability that an input escapes the locality
-	// window (Rent-style global wiring).
-	LongRangeProb float64
 	// Utilization is the placement utilization used to size the die
 	// (paper: 60%).
 	Utilization float64
-	// AspectRatio is die height/width (paper: 1.0).
-	AspectRatio float64
 }
+
+const (
+	// seqFrac is the flip-flop fraction of all instances.
+	seqFrac = 0.16
+	// windowFrac sizes the locality window for input selection as a
+	// fraction of the instance count.
+	windowFrac = 0.04
+	// longRangeProb is the probability that an input escapes the locality
+	// window (Rent-style global wiring).
+	longRangeProb = 0.08
+	// aspectRatio is die height/width (paper: 1.0).
+	aspectRatio = 1.0
+)
 
 // DefaultOptions mirrors the paper's experimental setup.
 func DefaultOptions() Options {
 	return Options{
-		Scale:         1.0,
-		Seed:          1,
-		SeqFrac:       0.16,
-		WindowFrac:    0.04,
-		LongRangeProb: 0.08,
-		Utilization:   0.60,
-		AspectRatio:   1.0,
+		Scale:       1.0,
+		Seed:        1,
+		Utilization: 0.60,
 	}
 }
 
@@ -205,7 +204,7 @@ func Generate(t *tech.Tech, lib *celllib.Library, spec Spec, opt Options) (*netl
 		ClockNet:      netlist.NoNet,
 	}
 
-	masters := chooseMasters(lib, rng, nCells, spec.MinorityPct/100, opt.SeqFrac)
+	masters := chooseMasters(lib, rng, nCells, spec.MinorityPct/100, seqFrac)
 	for i, m := range masters {
 		d.AddInstance(fmt.Sprintf("u%d", i), m)
 	}
@@ -359,7 +358,7 @@ func sizeDie(d *netlist.Design, opt Options) {
 	dieArea := area / opt.Utilization
 	pairH := d.Tech.MLEFPairHeight(d.MinorityAreaFraction())
 	// Height from aspect ratio, snapped to whole pairs (at least 4).
-	h := math.Sqrt(dieArea * opt.AspectRatio)
+	h := math.Sqrt(dieArea * aspectRatio)
 	nPairs := int(math.Round(h / float64(pairH)))
 	if nPairs < 4 {
 		nPairs = 4
@@ -414,7 +413,7 @@ func addPorts(d *netlist.Design, spec Spec, opt Options, rng *rand.Rand) {
 // occasional long-range escapes.
 func wire(d *netlist.Design, rng *rand.Rand, opt Options) {
 	n := len(d.Insts)
-	window := int(float64(n) * opt.WindowFrac)
+	window := int(float64(n) * windowFrac)
 	if window < 8 {
 		window = 8
 	}
@@ -462,10 +461,10 @@ func wire(d *netlist.Design, rng *rand.Rand, opt Options) {
 			}
 		}
 		w := window
-		longRange := opt.LongRangeProb
+		longRange := longRangeProb
 		if d.Insts[i].Master.Height == tech.Tall7p5T {
 			w = coneWindow
-			longRange = opt.LongRangeProb / 4
+			longRange = longRangeProb / 4
 		}
 		lo := i - w
 		if rng.Float64() < longRange || lo < 0 {
