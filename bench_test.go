@@ -38,12 +38,11 @@ import (
 const benchScale = 0.02
 
 func benchSpec(name string) synth.Spec {
-	for _, s := range synth.TableII() {
-		if s.Name() == name {
-			return s
-		}
+	s, err := synth.Lookup(name)
+	if err != nil {
+		panic(err)
 	}
-	panic("unknown spec " + name)
+	return s
 }
 
 func benchRunner(b *testing.B, name string) *flow.Runner {

@@ -105,7 +105,7 @@ func FlowKey(id flow.ID) string { return fmt.Sprintf("flow%d", int(id)) }
 func Compute(ctx context.Context) (*Snapshot, error) {
 	s := &Snapshot{Schema: Schema, Scale: Scale, Seed: Seed}
 	for _, name := range Designs {
-		spec, err := findSpec(name)
+		spec, err := synth.Lookup(name)
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +149,7 @@ func Compute(ctx context.Context) (*Snapshot, error) {
 // still executes under Config.Verify: a degraded answer must be a legal
 // placement like any other.
 func computeDegraded(ctx context.Context) (*DesignSnapshot, error) {
-	spec, err := findSpec(DegradedDesign)
+	spec, err := synth.Lookup(DegradedDesign)
 	if err != nil {
 		return nil, err
 	}
@@ -312,13 +312,4 @@ func compareDesign(diff func(string, ...any), label string, g, w *DesignSnapshot
 
 func within(got, want int64, tol float64) bool {
 	return math.Abs(float64(got-want)) <= tol*math.Max(1, math.Abs(float64(want)))
-}
-
-func findSpec(name string) (synth.Spec, error) {
-	for _, s := range synth.TableII() {
-		if s.Name() == name {
-			return s, nil
-		}
-	}
-	return synth.Spec{}, fmt.Errorf("golden: unknown testcase %q", name)
 }

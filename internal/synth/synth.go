@@ -100,6 +100,17 @@ func TableII() []Spec {
 	}
 }
 
+// Lookup returns the Table II spec with the given name (Spec.Name, e.g.
+// "aes_300").
+func Lookup(name string) (Spec, error) {
+	for _, s := range TableII() {
+		if s.Name() == name {
+			return s, nil
+		}
+	}
+	return Spec{}, fmt.Errorf("synth: unknown testcase %q", name)
+}
+
 // ParameterSweepSpecs returns the 14 representative testcases the paper uses
 // for the Fig. 4 parameter sweeps: all nine circuits covered with a spread
 // of 7.5T percentages.

@@ -49,6 +49,20 @@ func TestSpecNames(t *testing.T) {
 	}
 }
 
+func TestLookup(t *testing.T) {
+	for _, want := range TableII() {
+		got, err := Lookup(want.Name())
+		if err != nil || got != want {
+			t.Errorf("Lookup(%q) = %+v, %v; want %+v", want.Name(), got, err, want)
+		}
+	}
+	for _, bad := range []string{"not_a_testcase", "", "aes_cipher_top"} {
+		if _, err := Lookup(bad); err == nil {
+			t.Errorf("Lookup(%q) accepted an unknown name", bad)
+		}
+	}
+}
+
 func TestParameterSweepSpecs(t *testing.T) {
 	ps := ParameterSweepSpecs()
 	if len(ps) != 14 {
