@@ -47,7 +47,7 @@ func RowConstraint(ctx context.Context, d *netlist.Design, ms *rowgrid.MixedStac
 		if err := errs.FromContext(ctx); err != nil {
 			return fmt.Errorf("legalize: row-constraint: %w", err)
 		}
-		if err := classAbacus(d, ms, h, nil); err != nil {
+		if err := classAbacus(d, ms, h); err != nil {
 			return fmt.Errorf("legalize: row-constraint %s: %w", h, err)
 		}
 	}
@@ -161,7 +161,7 @@ func RowConstraintAssigned(ctx context.Context, d *netlist.Design, ms *rowgrid.M
 	}
 
 	// Majority cells.
-	if err := classAbacus(d, ms, tech.Short6T, nil); err != nil {
+	if err := classAbacus(d, ms, tech.Short6T); err != nil {
 		return fmt.Errorf("legalize: row-constraint majority: %w", err)
 	}
 	return nil
@@ -215,7 +215,7 @@ func FenceAware(ctx context.Context, d *netlist.Design, ms *rowgrid.MixedStack, 
 		if err := errs.FromContext(ctx); err != nil {
 			return fmt.Errorf("legalize: fence-aware: %w", err)
 		}
-		if err := classAbacus(d, ms, h, nil); err != nil {
+		if err := classAbacus(d, ms, h); err != nil {
 			return fmt.Errorf("legalize: fence-aware %s: %w", h, err)
 		}
 	}
@@ -223,8 +223,8 @@ func FenceAware(ctx context.Context, d *netlist.Design, ms *rowgrid.MixedStack, 
 }
 
 // classAbacus runs Abacus for one track-height class over the rows of that
-// class. Optional targets overrides the Abacus target position per instance.
-func classAbacus(d *netlist.Design, ms *rowgrid.MixedStack, h tech.TrackHeight, targets map[int32]geom.Point) error {
+// class, each instance targeting its current position.
+func classAbacus(d *netlist.Design, ms *rowgrid.MixedStack, h tech.TrackHeight) error {
 	var rows []Row
 	for _, p := range ms.PairsOf(h) {
 		lo, hi := ms.RowsOfPair(p)
@@ -241,13 +241,7 @@ func classAbacus(d *netlist.Design, ms *rowgrid.MixedStack, h tech.TrackHeight, 
 		if in.Fixed || in.TrueHeight() != h {
 			continue
 		}
-		t := in.Pos
-		if targets != nil {
-			if tp, ok := targets[int32(i)]; ok {
-				t = tp
-			}
-		}
-		cells = append(cells, Cell{ID: int32(i), TargetX: t.X, TargetY: t.Y, W: in.Width()})
+		cells = append(cells, Cell{ID: int32(i), TargetX: in.Pos.X, TargetY: in.Pos.Y, W: in.Width()})
 	}
 	if len(cells) == 0 {
 		return nil
