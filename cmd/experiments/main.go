@@ -32,12 +32,12 @@ import (
 	"strings"
 	"syscall"
 
+	"mthplace/internal/core"
 	"mthplace/internal/errs"
 	"mthplace/internal/exp"
 	"mthplace/internal/metrics"
 	"mthplace/internal/obs"
 	"mthplace/internal/synth"
-	"mthplace/pkg/mth"
 )
 
 func main() {
@@ -74,7 +74,7 @@ func main() {
 		defer cancel()
 	}
 
-	if err := mth.ValidBackend(*solver); err != nil {
+	if err := core.ValidBackend(*solver); err != nil {
 		fatal(err)
 	}
 

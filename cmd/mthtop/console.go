@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,126 +10,42 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"mthplace/internal/server/scheduler"
+	"mthplace/pkg/mth"
 )
 
 // frame is everything one screen needs, fetched in a single pass.
 type frame struct {
-	Stats statsDoc
-	Jobs  []jobView
+	Stats scheduler.StatsSnapshot
+	Jobs  []scheduler.JobView
 	Prom  []sample
 	Now   time.Time
 }
 
-// statsDoc mirrors the GET /stats response (unknown fields ignored, so the
-// console tolerates servers a version ahead or behind).
-type statsDoc struct {
-	UptimeSeconds    float64        `json:"uptime_seconds"`
-	QueueDepth       int            `json:"queue_depth"`
-	QueueCapacity    int            `json:"queue_capacity"`
-	Workers          int            `json:"workers"`
-	BusyWorkers      int            `json:"busy_workers"`
-	Utilization      float64        `json:"worker_utilization"`
-	Jobs             map[string]int `json:"jobs"`
-	Started          int64          `json:"jobs_started"`
-	Finished         int64          `json:"jobs_finished"`
-	Inflight         int64          `json:"jobs_inflight"`
-	Degraded         int64          `json:"jobs_degraded"`
-	Retries          int64          `json:"job_retries"`
-	Panics           int64          `json:"job_panics"`
-	Reroutes         int64          `json:"job_reroutes"`
-	LeaseExpirations int64          `json:"lease_expirations"`
-	Backends         []backendStat  `json:"backends"`
-	Cache            cacheStat      `json:"cache"`
+// client reads one coordinator's observability surface through the
+// service's Go client.
+type client struct{ *mth.Client }
+
+func newClient(base string) client {
+	return client{mth.NewClient(base, mth.WithHTTPClient(&http.Client{Timeout: 5 * time.Second}))}
 }
 
-type backendStat struct {
-	Name             string  `json:"name"`
-	Depth            int     `json:"depth"`
-	Capacity         int     `json:"capacity"`
-	Workers          int     `json:"workers"`
-	Addr             string  `json:"addr"`
-	Circuit          string  `json:"circuit"`
-	HeartbeatRTTms   float64 `json:"heartbeat_rtt_ms"`
-	DispatchFailures int64   `json:"dispatch_failures"`
-}
-
-type cacheStat struct {
-	Enabled  bool  `json:"enabled"`
-	Entries  int   `json:"entries"`
-	Capacity int   `json:"capacity"`
-	Hits     int64 `json:"hits"`
-	Misses   int64 `json:"misses"`
-}
-
-// jobView mirrors the GET /v1/jobs entries.
-type jobView struct {
-	ID       string     `json:"id"`
-	State    string     `json:"state"`
-	Testcase string     `json:"testcase"`
-	Started  *time.Time `json:"started"`
-	Finished *time.Time `json:"finished"`
-	Error    string     `json:"error"`
-	Attempts int        `json:"attempts"`
-	Reroutes int        `json:"reroutes"`
-	CacheHit bool       `json:"cache_hit"`
-	Backend  string     `json:"backend"`
-	TraceID  string     `json:"trace_id"`
-}
-
-// client fetches one coordinator's observability surface.
-type client struct {
-	base string
-	http *http.Client
-}
-
-func newClient(base string) *client {
-	return &client{base: strings.TrimRight(base, "/"), http: &http.Client{Timeout: 5 * time.Second}}
-}
-
-func (c *client) fetch(ctx context.Context) (frame, error) {
+func (c client) fetch(ctx context.Context) (frame, error) {
 	f := frame{Now: time.Now()}
-	if err := c.getJSON(ctx, "/stats", &f.Stats); err != nil {
+	var err error
+	if f.Stats, err = c.Stats(ctx); err != nil {
 		return f, err
 	}
-	var list struct {
-		Jobs []jobView `json:"jobs"`
-	}
-	if err := c.getJSON(ctx, "/v1/jobs", &list); err != nil {
+	if f.Jobs, err = c.Jobs(ctx); err != nil {
 		return f, err
 	}
-	f.Jobs = list.Jobs
-	body, err := c.get(ctx, "/metrics")
+	prom, err := c.Metrics(ctx)
 	if err != nil {
 		return f, err
 	}
-	defer body.Close()
-	f.Prom = parseProm(body)
+	f.Prom = parseProm(strings.NewReader(prom))
 	return f, nil
-}
-
-func (c *client) getJSON(ctx context.Context, path string, out any) error {
-	body, err := c.get(ctx, path)
-	if err != nil {
-		return err
-	}
-	defer body.Close()
-	return json.NewDecoder(body).Decode(out)
-}
-
-func (c *client) get(ctx context.Context, path string) (io.ReadCloser, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		resp.Body.Close()
-		return nil, fmt.Errorf("GET %s: %s", path, resp.Status)
-	}
-	return resp.Body, nil
 }
 
 // sample is one series from the Prometheus text exposition.
@@ -309,7 +224,7 @@ func render(w io.Writer, f frame, rows int) {
 	fmt.Fprintf(w, "\n%-12s %-10s %-10s %-12s %9s %4s  %s\n",
 		"JOB", "TESTCASE", "STATE", "LANE", "MS", "RER", "TRACE")
 	for _, j := range jobs {
-		state := j.State
+		state := string(j.State)
 		if j.CacheHit {
 			state += "*" // served from the solve cache
 		}
@@ -321,13 +236,13 @@ func render(w io.Writer, f frame, rows int) {
 // selectJobs picks the rows worth a human's attention: everything still
 // running (oldest first — the likeliest stragglers), then the slowest of
 // the recently finished.
-func selectJobs(jobs []jobView, rows int) []jobView {
-	var running, done []jobView
+func selectJobs(jobs []scheduler.JobView, rows int) []scheduler.JobView {
+	var running, done []scheduler.JobView
 	for _, j := range jobs {
-		switch j.State {
-		case "running":
+		switch {
+		case j.State == scheduler.StateRunning:
 			running = append(running, j)
-		case "done", "failed", "canceled":
+		case j.State.Terminal():
 			done = append(done, j)
 		}
 	}
@@ -346,7 +261,7 @@ func selectJobs(jobs []jobView, rows int) []jobView {
 	return out
 }
 
-func startedBefore(a, b jobView) bool {
+func startedBefore(a, b scheduler.JobView) bool {
 	switch {
 	case a.Started == nil:
 		return false
@@ -357,14 +272,14 @@ func startedBefore(a, b jobView) bool {
 	}
 }
 
-func jobDur(j jobView) time.Duration {
+func jobDur(j scheduler.JobView) time.Duration {
 	if j.Started == nil || j.Finished == nil {
 		return 0
 	}
 	return j.Finished.Sub(*j.Started)
 }
 
-func jobMS(j jobView, now time.Time) string {
+func jobMS(j scheduler.JobView, now time.Time) string {
 	switch {
 	case j.Started == nil:
 		return "-"

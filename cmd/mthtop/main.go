@@ -9,9 +9,11 @@
 //	mthtop -addr http://localhost:8080 -once   # one plain-text frame (CI, scripts)
 //
 // It polls GET /stats, GET /v1/jobs and GET /metrics — nothing the server
-// doesn't already expose — and depends on nothing outside the standard
-// library: the /metrics integration is a small parser for the Prometheus
-// text exposition format.
+// doesn't already expose — through the service's Go client (pkg/mth),
+// decoding into the scheduler's own StatsSnapshot and JobView types, so
+// the console cannot drift from the server's schema. /metrics is text: a
+// small parser for the Prometheus exposition format reads the per-lane
+// series.
 package main
 
 import (

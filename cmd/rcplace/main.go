@@ -25,11 +25,14 @@ import (
 	"os/signal"
 	"syscall"
 
+	"mthplace/internal/core"
+	"mthplace/internal/errs"
 	"mthplace/internal/fault"
+	"mthplace/internal/flow"
 	"mthplace/internal/lefdef"
 	"mthplace/internal/obs"
+	"mthplace/internal/synth"
 	"mthplace/internal/viz"
-	"mthplace/pkg/mth"
 )
 
 func main() {
@@ -54,7 +57,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := mth.ValidBackend(*solver); err != nil {
+	if err := core.ValidBackend(*solver); err != nil {
 		fatal(err)
 	}
 
@@ -64,10 +67,10 @@ func main() {
 		fatal(err)
 	}
 
-	spec, err := mth.FindSpec(*testcase)
+	spec, err := synth.Lookup(*testcase)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rcplace: unknown testcase %q; available:\n", *testcase)
-		for _, s := range mth.TableII() {
+		for _, s := range synth.TableII() {
 			fmt.Fprintf(os.Stderr, "  %s\n", s.Name())
 		}
 		os.Exit(2)
@@ -102,16 +105,16 @@ func main() {
 		})
 	}
 
-	fcfg := mth.DefaultConfig()
+	fcfg := flow.DefaultConfig()
 	fcfg.Synth.Scale = *scale
 	fcfg.Synth.Seed = *seed
 	fcfg.Jobs = *jobs
 	fcfg.Verify = *verify
 	if *strict {
-		fcfg.Core.Solve.Degrade = mth.DegradeStrict
+		fcfg.Core.Solve.Degrade = core.DegradeStrict
 	}
 	fcfg.Core.Solve.Backend = *solver
-	runner, err := mth.NewRunner(ctx, spec, fcfg)
+	runner, err := flow.NewRunner(ctx, spec, fcfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -123,13 +126,13 @@ func main() {
 		"nets", len(runner.Base.Nets),
 		"nminr", runner.NminR)
 
-	res, err := runner.Run(ctx, mth.ID(*flowNum), *doRoute)
+	res, err := runner.Run(ctx, flow.ID(*flowNum), *doRoute)
 	writeTrace(tracer, *traceOut, lg) // even on failure: partial traces localize the failure
-	if errors.Is(err, mth.ErrTimeout) {
+	if errors.Is(err, errs.ErrTimeout) {
 		fmt.Fprintln(os.Stderr, "rcplace: timed out after", *timeout)
 		os.Exit(124)
 	}
-	if errors.Is(err, mth.ErrCanceled) {
+	if errors.Is(err, errs.ErrCanceled) {
 		fmt.Fprintln(os.Stderr, "rcplace: interrupted")
 		os.Exit(130)
 	}
@@ -240,9 +243,9 @@ func writeTrace(tracer *obs.Tracer, path string, lg *slog.Logger) {
 // rungLabel renders the solve ladder's verdict: which rung answered, and
 // for degraded runs why the ladder moved and how far from proven optimal
 // the answer can be.
-func rungLabel(m mth.Metrics) string {
+func rungLabel(m flow.Metrics) string {
 	if !m.SolveDegraded {
-		if m.SolveRung == mth.RungILP {
+		if m.SolveRung == core.RungILP {
 			return "ilp (proven optimal)"
 		}
 		return m.SolveRung

@@ -14,16 +14,16 @@ import (
 
 	"mthplace/internal/flow"
 	"mthplace/internal/metrics"
-	"mthplace/pkg/mth"
+	"mthplace/internal/synth"
 )
 
 func main() {
 	ctx := context.Background()
-	spec := mth.TableII()[16] // des3_220
-	cfg := mth.DefaultConfig()
+	spec := synth.TableII()[16] // des3_220
+	cfg := flow.DefaultConfig()
 	cfg.Synth.Scale = 0.05
 
-	runner, err := mth.NewRunner(ctx, spec, cfg)
+	runner, err := flow.NewRunner(ctx, spec, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

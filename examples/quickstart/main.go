@@ -10,8 +10,9 @@ import (
 	"fmt"
 	"log"
 
+	"mthplace/internal/flow"
+	"mthplace/internal/synth"
 	"mthplace/internal/tech"
-	"mthplace/pkg/mth"
 )
 
 func main() {
@@ -20,14 +21,14 @@ func main() {
 
 	// Pick a Table II testcase. Scale 0.05 keeps the quickstart fast; set
 	// Scale to 1.0 for the paper-size design.
-	spec := mth.TableII()[3] // aes_360
-	cfg := mth.DefaultConfig()
+	spec := synth.TableII()[3] // aes_360
+	cfg := flow.DefaultConfig()
 	cfg.Synth.Scale = 0.05
 
 	// The Runner prepares the shared starting point: synthetic netlist,
 	// mLEF transform, unconstrained global placement, and Flow (2)'s
 	// minority row budget N_minR.
-	runner, err := mth.NewRunner(ctx, spec, cfg)
+	runner, err := flow.NewRunner(ctx, spec, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func main() {
 		len(runner.Base.Nets), runner.Grid.N, runner.NminR)
 
 	// Run the proposed flow end-to-end, including routing and signoff.
-	res, err := runner.Run(ctx, mth.Flow5, true)
+	res, err := runner.Run(ctx, flow.Flow5, true)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -39,3 +39,25 @@ func TestInfeasibleWrapping(t *testing.T) {
 		t.Fatal("wrapping lost the class")
 	}
 }
+
+// TestClassesSurviveWrapping: every class matches itself through nested
+// fmt.Errorf wrapping and matches no other class.
+func TestClassesSurviveWrapping(t *testing.T) {
+	classes := []struct {
+		name string
+		err  error
+	}{
+		{"infeasible", ErrInfeasible}, {"timeout", ErrTimeout}, {"canceled", ErrCanceled},
+		{"transient", ErrTransient}, {"panic", ErrPanic}, {"unavailable", ErrUnavailable},
+	}
+	for _, c := range classes {
+		t.Run(c.name, func(t *testing.T) {
+			wrapped := fmt.Errorf("solver: %w", fmt.Errorf("stage 2: %w", c.err))
+			for _, other := range classes {
+				if got := errors.Is(wrapped, other.err); got != (other.err == c.err) {
+					t.Errorf("errors.Is(wrapped %s, %s) = %v", c.name, other.name, got)
+				}
+			}
+		})
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mthplace/internal/errs"
 	"mthplace/internal/synth"
 )
 
@@ -25,8 +26,12 @@ func TestRunPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, id := range []ID{Flow1, Flow2, Flow3, Flow4, Flow5} {
-		if _, err := r.Run(ctx, id, false); !errors.Is(err, ErrCanceled) {
+		_, err := r.Run(ctx, id, false)
+		if !errors.Is(err, errs.ErrCanceled) {
 			t.Errorf("%v: err = %v, want ErrCanceled", id, err)
+		}
+		if errors.Is(err, errs.ErrTimeout) || errors.Is(err, errs.ErrInfeasible) {
+			t.Errorf("%v: err %v matched an unrelated class", id, err)
 		}
 	}
 }
@@ -35,7 +40,7 @@ func TestRunPreCanceledContext(t *testing.T) {
 func TestNewRunnerPreCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewRunner(ctx, synth.TableII()[0], testConfig(0.02)); !errors.Is(err, ErrCanceled) {
+	if _, err := NewRunner(ctx, synth.TableII()[0], testConfig(0.02)); !errors.Is(err, errs.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }
@@ -47,8 +52,12 @@ func TestDeadlineSurfacesAsTimeout(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	<-ctx.Done()
-	if _, err := r.Run(ctx, Flow5, false); !errors.Is(err, ErrTimeout) {
+	_, err := r.Run(ctx, Flow5, false)
+	if !errors.Is(err, errs.ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+	if errors.Is(err, errs.ErrCanceled) {
+		t.Errorf("expired deadline classified as cancel: %v", err)
 	}
 }
 
@@ -84,7 +93,7 @@ func TestRunCancelMidFlow(t *testing.T) {
 	start = time.Now()
 	_, err = r.Run(ctx, Flow5, false)
 	elapsed := time.Since(start)
-	if !errors.Is(err, ErrCanceled) {
+	if !errors.Is(err, errs.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	if elapsed >= full {

@@ -164,7 +164,7 @@ func TestInjectedErrorIsTransient(t *testing.T) {
 	ctx := fault.WithPlan(context.Background(),
 		fault.NewPlan(fault.Rule{Point: PointLegalize, Kind: fault.KindError}))
 	_, err := r.Run(ctx, Flow5, false)
-	if !errors.Is(err, ErrTransient) {
+	if !errors.Is(err, errs.ErrTransient) {
 		t.Fatalf("err = %v, want ErrTransient", err)
 	}
 }

@@ -44,29 +44,6 @@ import (
 	"mthplace/internal/tech"
 )
 
-// Typed failure classes, re-exported from internal/errs so flow callers (and
-// the HTTP layer above them) can classify outcomes with errors.Is without
-// importing the bottom-layer package:
-//
-//	ErrInfeasible — the RAP (or a legalization capacity check) proved the
-//	                instance unsatisfiable; retrying won't help, fix the spec.
-//	ErrTimeout    — a context deadline expired mid-stage.
-//	ErrCanceled   — the caller canceled the context mid-stage.
-//	ErrTransient  — a recoverable infrastructure failure (injected faults
-//	                included); the job server retries this class.
-//	ErrPanic      — a panic caught at the runner boundary; the process
-//	                survives and the run reports a typed failure.
-var (
-	ErrInfeasible = errs.ErrInfeasible
-	ErrTimeout    = errs.ErrTimeout
-	ErrCanceled   = errs.ErrCanceled
-	ErrTransient  = errs.ErrTransient
-	ErrPanic      = errs.ErrPanic
-	// ErrUnavailable — a backend (remote worker, open circuit) could not
-	// take the work at all; the scheduler re-routes this class.
-	ErrUnavailable = errs.ErrUnavailable
-)
-
 // Fault points at the runner's stage boundaries (see internal/fault and
 // DESIGN.md §10). Each is checked once per stage entry; with no active
 // fault plan the cost is one atomic load.

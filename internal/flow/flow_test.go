@@ -8,6 +8,7 @@ import (
 
 	"mthplace/internal/check"
 	"mthplace/internal/geom"
+	"mthplace/internal/par"
 	"mthplace/internal/synth"
 	"mthplace/internal/tech"
 )
@@ -42,6 +43,23 @@ func TestRunnerPreparation(t *testing.T) {
 		if in.Source == nil {
 			t.Fatal("base design must be in mLEF form")
 		}
+	}
+}
+
+// TestRunnerAdoptsExplicitPool: a Config.Pool shared by the caller is the
+// runner's pool, not a private one, and flows run on it.
+func TestRunnerAdoptsExplicitPool(t *testing.T) {
+	cfg := testConfig(0.02)
+	cfg.Pool = par.NewPool(2)
+	r, err := NewRunner(context.Background(), synth.TableII()[0], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Pool() != cfg.Pool {
+		t.Error("runner did not adopt the explicit pool")
+	}
+	if _, err := r.Run(context.Background(), Flow2, false); err != nil {
+		t.Fatal(err)
 	}
 }
 

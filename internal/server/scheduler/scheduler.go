@@ -905,30 +905,31 @@ type CacheStat struct {
 }
 
 // StatsSnapshot is everything the /stats endpoint reports, gathered in one
-// consistent pass.
+// consistent pass. It is the /stats wire schema: the transport encodes it
+// as is and clients (pkg/mth, mthtop) decode into it.
 type StatsSnapshot struct {
-	UptimeSeconds float64
+	UptimeSeconds float64 `json:"uptime_seconds"`
 	// QueueDepth, QueueCapacity and Workers are sums over the lanes.
-	QueueDepth    int
-	QueueCapacity int
-	Workers       int
-	BusyWorkers   int
-	Utilization   float64
-	PoolJobs      int
-	JobCounts     map[State]int
-	Started       int64
-	Finished      int64
-	Inflight      int64
-	Degraded      int64
-	Retries       int64
-	Panics        int64
+	QueueDepth    int           `json:"queue_depth"`
+	QueueCapacity int           `json:"queue_capacity"`
+	Workers       int           `json:"workers"`
+	BusyWorkers   int           `json:"busy_workers"`
+	Utilization   float64       `json:"worker_utilization"`
+	PoolJobs      int           `json:"pool_jobs"`
+	JobCounts     map[State]int `json:"jobs"`
+	Started       int64         `json:"jobs_started"`
+	Finished      int64         `json:"jobs_finished"`
+	Inflight      int64         `json:"jobs_inflight"`
+	Degraded      int64         `json:"jobs_degraded"`
+	Retries       int64         `json:"job_retries"`
+	Panics        int64         `json:"job_panics"`
 	// Reroutes counts jobs moved to another lane after a dispatch failure
 	// or lease expiry; LeaseExpirations counts leases that lapsed.
-	Reroutes         int64
-	LeaseExpirations int64
-	FlowLatency      map[string]FlowLatency
-	Backends         []BackendStat
-	Cache            CacheStat
+	Reroutes         int64                  `json:"job_reroutes"`
+	LeaseExpirations int64                  `json:"lease_expirations"`
+	FlowLatency      map[string]FlowLatency `json:"flow_latency"`
+	Backends         []BackendStat          `json:"backends"`
+	Cache            CacheStat              `json:"cache"`
 }
 
 // lifecycle reads the job start and finish counters, finished first:

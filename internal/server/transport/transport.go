@@ -366,28 +366,7 @@ func (a *API) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
-	snap := a.sched.Stats()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"uptime_seconds":     snap.UptimeSeconds,
-		"queue_depth":        snap.QueueDepth, // legacy: sum over backends
-		"queue_capacity":     snap.QueueCapacity,
-		"workers":            snap.Workers,
-		"busy_workers":       snap.BusyWorkers,
-		"worker_utilization": snap.Utilization,
-		"pool_jobs":          snap.PoolJobs,
-		"jobs":               snap.JobCounts,
-		"jobs_started":       snap.Started,
-		"jobs_finished":      snap.Finished,
-		"jobs_inflight":      snap.Inflight,
-		"jobs_degraded":      snap.Degraded,
-		"job_retries":        snap.Retries,
-		"job_panics":         snap.Panics,
-		"job_reroutes":       snap.Reroutes,
-		"lease_expirations":  snap.LeaseExpirations,
-		"flow_latency":       snap.FlowLatency,
-		"backends":           snap.Backends,
-		"cache":              snap.Cache,
-	})
+	writeJSON(w, http.StatusOK, a.sched.Stats())
 }
 
 // MetricsHandler returns the /metrics endpoint standalone, for mounting on
