@@ -7,8 +7,8 @@
 //
 // The package sits below every other internal package (it imports only
 // the standard library), so flow, core, legalize and the server can all
-// share the same sentinels without import cycles. The public facade
-// (pkg/mth) re-exports them.
+// share the same sentinels without import cycles. This is the only place
+// they are defined: callers at every layer match errs.Err* directly.
 package errs
 
 import (
