@@ -90,6 +90,7 @@ type kindSpec struct {
 	drives     []int // available drive strengths
 }
 
+// kindSpecs is indexed by Kind.
 var kindSpecs = []kindSpec{
 	{INV, 1, 1, 1, 4, 2.4, 0.60, 0.35, 0.9, false, []int{1, 2, 4, 8}},
 	{BUF, 1, 2, 1, 7, 2.2, 0.65, 0.55, 1.2, false, []int{1, 2, 4, 8}},
@@ -176,12 +177,21 @@ type Library struct {
 	Tech    *tech.Tech
 	masters []*Master
 	byName  map[string]*Master
+	byKey   map[masterKey]*Master
+}
+
+// masterKey identifies a master by what Find looks it up by.
+type masterKey struct {
+	kind   Kind
+	drive  int
+	height tech.TrackHeight
+	vt     VT
 }
 
 // New builds the full synthetic library over the given technology: every
 // kindSpec at every listed drive, in both track-heights and both VTs.
 func New(t *tech.Tech) *Library {
-	lib := &Library{Tech: t, byName: make(map[string]*Master)}
+	lib := &Library{Tech: t, byName: make(map[string]*Master), byKey: make(map[masterKey]*Master)}
 	for _, spec := range kindSpecs {
 		for _, drive := range spec.drives {
 			for _, h := range []tech.TrackHeight{tech.Short6T, tech.Tall7p5T} {
@@ -189,6 +199,7 @@ func New(t *tech.Tech) *Library {
 					m := buildMaster(t, spec, drive, h, vt)
 					lib.masters = append(lib.masters, m)
 					lib.byName[m.Name] = m
+					lib.byKey[masterKey{spec.kind, drive, h, vt}] = m
 				}
 			}
 		}
@@ -317,37 +328,20 @@ func (l *Library) Variant(m *Master, h tech.TrackHeight) *Master {
 	if m.Height == h {
 		return m
 	}
-	want := fmt.Sprintf("%s_X%d_%s_%s", m.Kind, m.Drive, heightTag(h), m.VT)
-	return l.byName[want]
+	return l.Find(m.Kind, m.Drive, h, m.VT)
 }
 
 // Find returns the master for an exact (kind, drive, height, vt) tuple, or
 // nil when the library has no such cell.
 func (l *Library) Find(k Kind, drive int, h tech.TrackHeight, vt VT) *Master {
-	return l.byName[fmt.Sprintf("%s_X%d_%s_%s", k, drive, heightTag(h), vt)]
+	return l.byKey[masterKey{k, drive, h, vt}]
 }
 
-// Kinds returns the kind specs available, exposed for generators that need
-// the menu of functions with their input counts.
-func Kinds() []struct {
-	Kind       Kind
-	Inputs     int
-	Sequential bool
-	Drives     []int
-} {
-	out := make([]struct {
-		Kind       Kind
-		Inputs     int
-		Sequential bool
-		Drives     []int
-	}, 0, len(kindSpecs))
-	for _, s := range kindSpecs {
-		out = append(out, struct {
-			Kind       Kind
-			Inputs     int
-			Sequential bool
-			Drives     []int
-		}{s.kind, s.inputs, s.sequential, append([]int(nil), s.drives...)})
+// Drives returns the drive strengths the library offers for k, ascending,
+// or nil for an unknown kind. The returned slice must not be modified.
+func Drives(k Kind) []int {
+	if int(k) < len(kindSpecs) {
+		return kindSpecs[k].drives
 	}
-	return out
+	return nil
 }

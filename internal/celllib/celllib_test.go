@@ -1,6 +1,8 @@
 package celllib
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"mthplace/internal/tech"
@@ -177,22 +179,50 @@ func TestDFFSpecifics(t *testing.T) {
 	}
 }
 
-func TestKindsMenu(t *testing.T) {
-	ks := Kinds()
-	if len(ks) != len(kindSpecs) {
-		t.Fatalf("Kinds() returned %d entries, want %d", len(ks), len(kindSpecs))
+// TestFindMatchesMasterName checks the struct-keyed lookups against the
+// master names: Find(kind, drive, height, vt) returns that very master,
+// and Variant flips only the height. It also checks that Drives(k) is the
+// kind spec's drive menu, and keeps the menu checks of the deleted Kinds:
+// every kind has inputs and drives, and one kind is sequential.
+func TestFindMatchesMasterName(t *testing.T) {
+	lib := newLib(t)
+	for _, m := range lib.Masters() {
+		want := fmt.Sprintf("%s_X%d_%s_%s", m.Kind, m.Drive, heightTag(m.Height), m.VT)
+		if m.Name != want {
+			t.Fatalf("master %s, want name %s", m.Name, want)
+		}
+		if got := lib.Find(m.Kind, m.Drive, m.Height, m.VT); got != m {
+			t.Errorf("Find(%s, %d, %v, %s) = %v, want %s", m.Kind, m.Drive, m.Height, m.VT, got, m.Name)
+		}
+		v := lib.Variant(m, m.Height.Other())
+		if v == nil || v.Kind != m.Kind || v.Drive != m.Drive || v.VT != m.VT || v.Height == m.Height {
+			t.Errorf("Variant(%s) = %v", m.Name, v)
+		}
 	}
 	seenSeq := false
-	for _, k := range ks {
-		if k.Inputs <= 0 || len(k.Drives) == 0 {
-			t.Errorf("%s: bad menu entry", k.Kind)
+	for k := Kind(0); k < numKinds; k++ {
+		var spec *kindSpec
+		for i := range kindSpecs {
+			if kindSpecs[i].kind == k {
+				spec = &kindSpecs[i]
+			}
 		}
-		if k.Sequential {
-			seenSeq = true
+		if spec == nil {
+			t.Fatalf("%s has no kind spec", k)
 		}
+		if d := Drives(k); !slices.Equal(d, spec.drives) {
+			t.Errorf("Drives(%s) = %v, want %v", k, d, spec.drives)
+		}
+		if spec.inputs <= 0 || len(spec.drives) == 0 || !slices.IsSorted(spec.drives) {
+			t.Errorf("%s: bad menu entry", k)
+		}
+		seenSeq = seenSeq || spec.sequential
 	}
 	if !seenSeq {
 		t.Error("menu must contain a sequential kind")
+	}
+	if Drives(numKinds) != nil {
+		t.Error("Drives of an unknown kind must be nil")
 	}
 }
 

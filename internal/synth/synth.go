@@ -324,7 +324,7 @@ func pickKind(rng *rand.Rand, total int) struct {
 // pickDrive selects a drive strength: minority (7.5T) cells skew to strong
 // drives, majority cells to weak ones.
 func pickDrive(rng *rand.Rand, k celllib.Kind, h tech.TrackHeight) int {
-	drives := availableDrives(k)
+	drives := celllib.Drives(k)
 	if len(drives) == 1 {
 		return drives[0]
 	}
@@ -346,15 +346,6 @@ func pickDrive(rng *rand.Rand, k celllib.Kind, h tech.TrackHeight) int {
 		return drives[1]
 	}
 	return drives[rng.Intn(len(drives))]
-}
-
-func availableDrives(k celllib.Kind) []int {
-	for _, s := range celllib.Kinds() {
-		if s.Kind == k {
-			return s.Drives
-		}
-	}
-	return []int{1}
 }
 
 // sizeDie computes the die so that the mLEF placement at the requested
