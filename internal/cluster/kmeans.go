@@ -19,6 +19,7 @@ package cluster
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -225,38 +226,164 @@ func KMeans2D(ctx context.Context, pts []Point2, k, maxIter int) *Result {
 // from its current centroid, taken from the largest cluster, so every
 // cluster ends non-empty (required: cluster widths feed the row capacity
 // constraint and empty clusters would create degenerate ILP rows).
+//
+// The empty clusters are served in index order. Each takes one sample from
+// the cluster that is then largest (ties to the lowest index), as long as
+// that cluster has two or more samples: its farthest remaining member from
+// its centroid (ties to the lowest sample index; a member at a NaN
+// distance is never taken). The donors follow from sizes alone
+// (donorOrder), and one pass over the samples collects their members, so
+// a call costs O(n + k), plus a sort of a donor's members when it gives
+// more than one sample.
 func reseedEmpty(pts []Point2, cent []Point2, assign []int, sizes []int) {
-	for c := range cent {
-		if sizes[c] > 0 {
-			continue
-		}
-		// Largest cluster donates its farthest member.
-		big := 0
-		for j := range sizes {
-			if sizes[j] > sizes[big] {
-				big = j
-			}
-		}
-		if sizes[big] <= 1 {
-			continue
-		}
-		far, farD := -1, -1.0
-		for i, p := range pts {
-			if assign[i] != big {
-				continue
-			}
-			d := sq(p.X-cent[big].X) + sq(p.Y-cent[big].Y)
-			if d > farD {
-				far, farD = i, d
-			}
-		}
-		if far >= 0 {
-			assign[far] = c
-			sizes[big]--
-			sizes[c]++
-			cent[c] = pts[far]
+	var empty []int
+	for c, s := range sizes {
+		if s == 0 {
+			empty = append(empty, c)
 		}
 	}
+	if len(empty) == 0 {
+		return
+	}
+	donors := donorOrder(sizes, len(empty))
+	if len(donors) == 0 {
+		return
+	}
+	// give[j] counts the samples donor j hands over; its members are
+	// collected at members[from[j]:from[j]+sizes[j]].
+	give := make([]int, len(sizes))
+	for _, j := range donors {
+		give[j]++
+	}
+	from := make([]int, len(sizes))
+	total := 0
+	for j, g := range give {
+		if g > 0 {
+			from[j] = total
+			total += sizes[j]
+		}
+	}
+	type member struct {
+		d float64
+		i int
+	}
+	members := make([]member, total)
+	next := append([]int(nil), from...)
+	for i, p := range pts {
+		if j := assign[i]; give[j] > 0 {
+			members[next[j]] = member{sq(p.X-cent[j].X) + sq(p.Y-cent[j].Y), i}
+			next[j]++
+		}
+	}
+	// Put each donor's members in the order the donor gives them: farthest
+	// first, ties to the lowest index; NaN distances go last and are never
+	// given. A donor that gives one sample needs only its first member.
+	before := func(a, b member) bool {
+		if an, bn := math.IsNaN(a.d), math.IsNaN(b.d); an || bn {
+			return !an && bn
+		}
+		return a.d > b.d || (a.d == b.d && a.i < b.i)
+	}
+	for j, g := range give {
+		ms := members[from[j] : from[j]+sizes[j]]
+		switch {
+		case g == 1:
+			best := 0
+			for k := range ms {
+				if before(ms[k], ms[best]) {
+					best = k
+				}
+			}
+			ms[0], ms[best] = ms[best], ms[0]
+		case g > 1:
+			slices.SortFunc(ms, func(a, b member) int {
+				switch {
+				case before(a, b):
+					return -1
+				case before(b, a):
+					return 1
+				}
+				return 0
+			})
+		}
+	}
+	next = from // the next member each donor gives
+	for k, j := range donors {
+		m := members[next[j]]
+		if math.IsNaN(m.d) {
+			// Every member left is at a NaN distance, and the donor stays
+			// the largest cluster, so no later empty cluster gets a sample.
+			return
+		}
+		next[j]++
+		c := empty[k]
+		assign[m.i] = c
+		sizes[j]--
+		sizes[c]++
+		cent[c] = pts[m.i]
+	}
+}
+
+// donorOrder returns, for up to want empty clusters in turn, the cluster
+// that is largest when that empty cluster is served: the largest size,
+// ties to the lowest index, each serving shrinking the donor by one. It
+// stops when the largest cluster has fewer than two samples. That order
+// depends only on sizes: while the largest size is L, every cluster that
+// started with L or more samples gives one, in index order, and then the
+// largest size is L−1. So the clusters are visited level by level, from
+// the largest size down to 2, with each level's set in index order merged
+// from the level above and the clusters of exactly that size.
+func donorOrder(sizes []int, want int) []int {
+	top := 0
+	for _, s := range sizes {
+		top = max(top, s)
+	}
+	if top < 2 {
+		return nil
+	}
+	// bySize lists the clusters with two or more samples by size,
+	// descending, then index.
+	start := make([]int, top+2) // start[s] = clusters larger than s
+	for _, s := range sizes {
+		if s >= 2 {
+			start[s-1]++
+		}
+	}
+	for s := top - 1; s >= 0; s-- {
+		start[s] += start[s+1]
+	}
+	bySize := make([]int, start[1])
+	next := append([]int(nil), start...)
+	for j, s := range sizes {
+		if s >= 2 {
+			bySize[next[s]] = j
+			next[s]++
+		}
+	}
+	out := make([]int, 0, want)
+	var level, merged []int // clusters of the current level, in index order
+	for L := top; L >= 2 && len(out) < want; L-- {
+		if add := bySize[start[L]:start[L-1]]; len(add) > 0 {
+			merged = merged[:0]
+			a := 0
+			for _, j := range level {
+				for a < len(add) && add[a] < j {
+					merged = append(merged, add[a])
+					a++
+				}
+				merged = append(merged, j)
+			}
+			merged = append(merged, add[a:]...)
+			level, merged = merged, level
+		}
+		for _, j := range level {
+			if len(out) == want {
+				break
+			}
+			out = append(out, j)
+		}
+	}
+	return out
 }
 
 func sq(v float64) float64 { return v * v }
