@@ -100,16 +100,13 @@ func (r *JobRequest) validate() (synth.Spec, []flow.ID, error) {
 	case r.Testcase != "" && r.Spec != nil:
 		return spec, nil, errors.New("give testcase or spec, not both")
 	case r.Testcase != "":
-		found := false
-		for _, s := range synth.TableII() {
-			if s.Name() == r.Testcase || s.Circuit == r.Testcase {
-				spec, found = s, true
-				break
-			}
+		// A Table II name (circuit and clock, e.g. "aes_300"), the names
+		// the CLI accepts; a bare circuit name is ambiguous.
+		s, err := synth.Lookup(r.Testcase)
+		if err != nil {
+			return spec, nil, err
 		}
-		if !found {
-			return spec, nil, fmt.Errorf("unknown testcase %q", r.Testcase)
-		}
+		spec = s
 	case r.Spec != nil:
 		spec = *r.Spec
 		if spec.Circuit == "" || spec.Cells <= 0 {

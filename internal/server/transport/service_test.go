@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -209,6 +210,28 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if code, _ := h.do("GET", "/jobs/job-999", nil); code != http.StatusNotFound {
 		t.Errorf("missing job: status %d, want 404", code)
+	}
+}
+
+// TestSubmitRejectsBareCircuitName checks that the service accepts the
+// same testcase names as the CLI (synth.Lookup): a bare circuit name such
+// as "aes_cipher_top" names no clock variant and is refused with a 400
+// that names it, before any job is queued.
+func TestSubmitRejectsBareCircuitName(t *testing.T) {
+	h := newHarness(t, scheduler.Options{})
+	for _, name := range []string{"aes_cipher_top", "aes"} {
+		code, body := h.do("POST", "/jobs", scheduler.JobRequest{Testcase: name})
+		if code != http.StatusBadRequest {
+			t.Fatalf("testcase %q: status %d, want 400", name, code)
+		}
+		if msg := string(body["error"]); !strings.Contains(msg, name) {
+			t.Errorf("testcase %q: error %s does not name it", name, msg)
+		}
+	}
+	for state, n := range h.sched.Stats().JobCounts {
+		if n != 0 {
+			t.Errorf("%d jobs %s, want none queued", n, state)
+		}
 	}
 }
 
