@@ -8,6 +8,7 @@ import (
 	"mthplace/internal/celllib"
 	"mthplace/internal/lefdef"
 	"mthplace/internal/netlist"
+	"mthplace/internal/par"
 	"mthplace/internal/synth"
 	"mthplace/internal/tech"
 )
@@ -38,8 +39,9 @@ func specNamed(t testing.TB, name string) synth.Spec {
 }
 
 // placeSpec prepares a design the way flow.NewRunner does before global
-// placement (synthesis, then mLEF) and places it with default options.
-func placeSpec(t testing.TB, sp synth.Spec, scale float64, seed int64) *netlist.Design {
+// placement (synthesis, then mLEF) and places it with default options on
+// the given pool.
+func placeSpec(t testing.TB, sp synth.Spec, scale float64, seed int64, pool *par.Pool) *netlist.Design {
 	t.Helper()
 	tc := tech.Default()
 	lib := celllib.New(tc)
@@ -53,7 +55,7 @@ func placeSpec(t testing.TB, sp synth.Spec, scale float64, seed int64) *netlist.
 	if _, err := lefdef.ApplyMLEF(d); err != nil {
 		t.Fatal(err)
 	}
-	Global(d, Options{})
+	Global(d, Options{Pool: pool})
 	return d
 }
 
@@ -61,7 +63,8 @@ func placeSpec(t testing.TB, sp synth.Spec, scale float64, seed int64) *netlist.
 // options. The golden corpus only covers scale 0.02; these cases add the
 // scale of the paper matrix and a 20k-cell design, whose deeper bisection
 // trees exercise far more splits. Any change to the placer that moves one
-// cell by one DBU fails here.
+// cell by one DBU fails here, at the default pool, a serial one and a
+// 4-worker one.
 func TestGlobalPinnedDigests(t *testing.T) {
 	nova := specNamed(t, "nova_300")
 	cases := []struct {
@@ -78,11 +81,19 @@ func TestGlobalPinnedDigests(t *testing.T) {
 		{"swerv_550", 0.03, 2, 0x8fdd0a52bd637d47},
 		{"nova_300", nova.ScaleForCells(20_000), 1, 0xee5202ad63636ce4},
 	}
-	for _, c := range cases {
-		d := placeSpec(t, specNamed(t, c.spec), c.scale, c.seed)
-		if got := positionDigest(d); got != c.digest {
-			t.Errorf("%s scale %g seed %d (%d cells): position digest %#016x, want %#016x",
-				c.spec, c.scale, c.seed, len(d.Insts), got, c.digest)
-		}
+	pools := []struct {
+		name string
+		pool *par.Pool
+	}{{"default", nil}, {"jobs1", par.NewPool(1)}, {"jobs4", par.NewPool(4)}}
+	for _, p := range pools {
+		t.Run(p.name, func(t *testing.T) {
+			for _, c := range cases {
+				d := placeSpec(t, specNamed(t, c.spec), c.scale, c.seed, p.pool)
+				if got := positionDigest(d); got != c.digest {
+					t.Errorf("%s scale %g seed %d (%d cells): position digest %#016x, want %#016x",
+						c.spec, c.scale, c.seed, len(d.Insts), got, c.digest)
+				}
+			}
+		})
 	}
 }

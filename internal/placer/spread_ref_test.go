@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mthplace/internal/geom"
+	"mthplace/internal/par"
 )
 
 // This file keeps the sort-based bisection that spread used before the
@@ -187,8 +188,10 @@ func TestSpreadSplitCapsAtLastCell(t *testing.T) {
 }
 
 // TestSpreadMatchesReference compares whole spreads, new against the old
-// sort-based bisection, bit for bit on every target.
+// sort-based bisection, bit for bit on every target. Odd iterations run on
+// a 4-worker pool.
 func TestSpreadMatchesReference(t *testing.T) {
+	pools := []*par.Pool{par.NewPool(1), par.NewPool(4)}
 	rng := rand.New(rand.NewSource(11))
 	die := geom.NewRect(0, 0, 20000, 9000)
 	for iter := 0; iter < 40; iter++ {
@@ -215,7 +218,7 @@ func TestSpreadMatchesReference(t *testing.T) {
 		binTarget := 1 + rng.Intn(8)
 		ax, ay := make([]float64, n), make([]float64, n)
 		rax, ray := make([]float64, n), make([]float64, n)
-		spread(die, keys, total, cx, cy, ax, ay, binTarget)
+		spread(pools[iter%2], die, keys, total, cx, cy, ax, ay, binTarget)
 		region := rectF{float64(die.Lo.X), float64(die.Lo.Y), float64(die.Hi.X), float64(die.Hi.Y)}
 		refBisect(ids, region, cx, cy, area, rax, ray, binTarget)
 		for i := range ax {
