@@ -8,11 +8,11 @@
 //
 // The service is layered (DESIGN.md §13): the HTTP transport accepts jobs
 // under /v1/ (plus unversioned aliases and POST /v1/jobs:batch), the
-// scheduler routes them across -backends execution lanes by consistent hash
-// of their content-addressed instance keys, and the result store keeps a
-// -cache-entries LRU solve cache so a repeated instance is answered
-// bit-identically without re-solving (per-request opt-out via Cache-Control
-// or the body's "cache" field).
+// scheduler holds them in one bounded queue that every execution lane
+// (-backends in-process, -remote workers) takes jobs from, and the result
+// store keeps a -cache-entries LRU solve cache so a repeated instance is
+// answered bit-identically without re-solving (per-request opt-out via
+// Cache-Control or the body's "cache" field).
 //
 // SIGINT/SIGTERM stops intake, cancels queued jobs, and drains in-flight
 // jobs (up to -drain); a second signal aborts immediately.
@@ -58,9 +58,9 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	debugAddr := flag.String("debug-addr", "", "debug listen address for /debug/pprof/ and /metrics (empty = disabled)")
-	workers := flag.Int("workers", 2, "concurrent placement jobs (split across -backends lanes; worker mode: execution slots)")
-	queue := flag.Int("queue", 16, "job queue depth beyond the workers (split across -backends lanes)")
-	backends := flag.Int("backends", 0, "in-process execution lanes; jobs route to a lane by consistent hash of their instance keys (0 = 1, or none with -remote)")
+	workers := flag.Int("workers", 2, "concurrent placement jobs, split across the -backends lanes (worker mode: execution slots)")
+	queue := flag.Int("queue", 16, "depth of the one job queue beyond the workers; a submission that finds it full gets 429")
+	backends := flag.Int("backends", 0, "in-process execution lanes, each taking jobs from the one queue (0 = 1, or none with -remote)")
 	workerMode := flag.Bool("worker", false, "run as an execution worker: serve the worker API (/worker/v1/) for a coordinator's -remote list instead of the job API")
 	remotes := flag.String("remote", "", "comma-separated worker base URLs (http://host:port) added as remote execution lanes")
 	lease := flag.Duration("lease", 0, "remote job lease duration; a worker silent this long has its jobs re-routed (0 = 15s default)")

@@ -203,7 +203,7 @@ func render(w io.Writer, f frame, rows int) {
 
 	lanes := laneStats(f.Prom)
 	fmt.Fprintf(w, "%-12s %-9s %-7s %6s %6s %6s %9s %8s %9s\n",
-		"LANE", "CIRCUIT", "QUEUE", "OK", "ERR", "REROUT", "AVG(ms)", "RTT(ms)", "DISPFAIL")
+		"LANE", "CIRCUIT", "BUSY", "OK", "ERR", "REROUT", "AVG(ms)", "RTT(ms)", "DISPFAIL")
 	for _, b := range st.Backends {
 		circuit, rtt, df := "-", "-", "-"
 		if b.Circuit != "" {

@@ -83,13 +83,13 @@ func TestConsoleFrame(t *testing.T) {
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{
 			"uptime_seconds": 3723, "queue_depth": 2, "queue_capacity": 16,
-			"workers": 8, "busy_workers": 3, "worker_utilization": 0.375,
+			"workers": 4, "busy_workers": 3, "worker_utilization": 0.75,
 			"jobs_started": 120, "jobs_finished": 117, "jobs_inflight": 3,
 			"jobs_degraded": 1, "job_retries": 4, "job_reroutes": 2,
 			"lease_expirations": 1, "job_panics": 0,
 			"backends": [
-				{"name":"remote-0","depth":0,"capacity":8,"workers":2,"addr":"http://w0","circuit":"closed","heartbeat_rtt_ms":0.8,"dispatch_failures":1},
-				{"name":"local-0","depth":1,"capacity":8,"workers":2}
+				{"name":"remote-0","depth":2,"capacity":2,"workers":2,"addr":"http://w0","circuit":"closed","heartbeat_rtt_ms":0.8,"dispatch_failures":1},
+				{"name":"local-0","depth":1,"capacity":2,"workers":2}
 			],
 			"cache": {"enabled":true,"entries":37,"capacity":512,"hits":80,"misses":40}
 		}`))
@@ -120,8 +120,11 @@ func TestConsoleFrame(t *testing.T) {
 	out := b.String()
 
 	for _, want := range []string{
-		"workers 3/8 busy (38%)",
+		"workers 3/4 busy (75%)",
 		"queue 2/16",
+		"BUSY",
+		"remote-0     closed    2/2",
+		"local-0      -         1/2",
 		"inflight 3",
 		"reroutes 2",
 		"hit rate 66.7%",

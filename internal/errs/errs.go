@@ -50,10 +50,10 @@ var (
 
 	// ErrUnavailable marks work that could not be placed on any live
 	// execution backend: the dispatch target refused the connection, its
-	// circuit breaker is open, or every lane in the ring is down. The HTTP
-	// layer maps it to 503 with a Retry-After hint; unlike ErrTransient it
-	// says nothing about whether an immediate retry on the *same* backend
-	// can help — the scheduler re-routes instead.
+	// circuit breaker is open, or every lane is down. The HTTP layer maps
+	// it to 503 with a Retry-After hint; unlike ErrTransient it says nothing
+	// about whether an immediate retry on the *same* backend can help — the
+	// scheduler re-routes instead.
 	ErrUnavailable = errors.New("backend unavailable")
 )
 

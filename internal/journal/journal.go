@@ -31,7 +31,8 @@ const FileName = "jobs.jsonl"
 
 // Lifecycle events. Submitted carries the job request; Failed carries the
 // error string; Leased carries the owning backend and the lease deadline;
-// Rerouted carries the new backend; the rest are bare transitions. The
+// Rerouted carries the backend the job left, and the Leased entry that
+// follows names its new owner; the rest are bare transitions. The
 // lease events are informational for replay — a job that was leased but
 // never reached a terminal event is still pending, exactly like a started
 // one — but they make the journal a complete audit trail: the chaos suite
@@ -62,11 +63,11 @@ type Entry struct {
 	Request json.RawMessage `json:"request,omitempty"`
 	// Error is the failure message, set on EventFailed only.
 	Error string `json:"error,omitempty"`
-	// Backend names the scheduler backend the job was routed to, set on
-	// EventSubmitted, EventLeased and EventRerouted when known.
-	// Informational: replay re-routes through the live ring rather than
-	// trusting a recorded lane that may no longer exist after a topology
-	// change.
+	// Backend names a scheduler lane: the owner on EventLeased, the lane
+	// the job left on EventRerouted. EventSubmitted carries none, because
+	// no lane takes a job until it leaves the queue. Informational: replay
+	// queues the job for whichever live lane is free rather than trusting
+	// a recorded lane that may no longer exist after a topology change.
 	Backend string `json:"backend,omitempty"`
 	// Deadline is the lease expiry, set on EventLeased only.
 	Deadline *time.Time `json:"deadline,omitempty"`

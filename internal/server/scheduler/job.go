@@ -237,7 +237,7 @@ type Job struct {
 	flows     []flow.ID
 	spec      synth.Spec
 	keys      []store.Key // per-flow cache keys, aligned with flows
-	backend   string      // backend the job was routed to ("" = cache hit)
+	backend   string      // lane that last claimed the job ("" until then, and for cache hits)
 	cacheHit  bool        // served from the solve cache without running
 	submitted time.Time
 	started   time.Time
@@ -401,8 +401,9 @@ type JobView struct {
 	Reroutes int `json:"reroutes,omitempty"`
 	// CacheHit marks a job served entirely from the solve cache.
 	CacheHit bool `json:"cache_hit,omitempty"`
-	// Backend names the scheduler backend the job was routed to; empty for
-	// cache hits, which never reach a backend.
+	// Backend names the lane that last claimed the job: empty while it
+	// waits for its first lane, and for cache hits, which never reach one.
+	// A re-routed job waiting in the queue still names the lane it left.
 	Backend string `json:"backend,omitempty"`
 	// Progress is the live solver-progress snapshot; present once the job
 	// has produced at least one observability event.
@@ -502,19 +503,20 @@ func (j *Job) requestCancel() bool {
 	}
 }
 
-// claim takes a queued job for a worker, attaching its cancel handle.
+// claim takes a queued job for a worker on lane, attaching its cancel handle.
 // ok is false if the job was canceled while waiting in the queue — the
 // work-claiming handshake that makes cancel-while-queued race-free. The
 // returned epoch identifies this attempt: after a re-route the job is
 // claimed again under a higher epoch, and only the holder of the current
 // epoch may terminalize the job (see beginFinish).
-func (j *Job) claim(cancel context.CancelFunc) (epoch int64, ok bool) {
+func (j *Job) claim(cancel context.CancelFunc, lane string) (epoch int64, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
 		return 0, false
 	}
 	j.state = StateRunning
+	j.backend = lane
 	if j.started.IsZero() {
 		j.started = time.Now()
 	}
@@ -545,8 +547,8 @@ func (j *Job) beginFinish(epoch int64) bool {
 	return true
 }
 
-// requeue moves a Running job back to Queued for re-dispatch on another
-// lane, invalidating attempt epoch. It fails when the epoch is stale, the
+// requeue moves a Running job back to Queued for re-dispatch, invalidating
+// attempt epoch. It fails when the epoch is stale, the
 // job already entered finishing, or the re-route budget (max) is spent.
 // The returned cancel handle (possibly nil) belongs to the abandoned
 // attempt; the caller cancels it *after* enqueueing so the old worker
@@ -610,18 +612,11 @@ func (j *Job) leaseExpired(now time.Time) (epoch int64, expired bool) {
 	return j.epoch, true
 }
 
-// backendName returns the lane the job is currently routed to.
+// backendName returns the lane that last claimed the job.
 func (j *Job) backendName() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.backend
-}
-
-// setBackendName records the lane the job moved to on a re-route.
-func (j *Job) setBackendName(name string) {
-	j.mu.Lock()
-	j.backend = name
-	j.mu.Unlock()
 }
 
 // condemn plants the error the lease monitor wants the job to fail with

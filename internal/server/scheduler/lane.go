@@ -1,23 +1,24 @@
-// Execution lanes. Every lane is the same thing: a bounded queue drained
-// by a fixed set of dispatcher goroutines, each of which ships a job's
-// request to a worker (worker.go) as a WireJob and waits for the
-// WireResult under a lease. A remote lane's worker is a peer mthserved
-// -worker process; an in-process lane's is a handler in this process,
-// reached through an http.Client whose transport calls it directly with no
-// socket. That client is the only difference between the two.
+// Execution lanes. Every lane is the same thing: a fixed set of dispatcher
+// goroutines that pull jobs from the scheduler's one queue (queue.go), each
+// of which ships a job's request to a worker (worker.go) as a WireJob and
+// waits for the WireResult under a lease. A remote lane's worker is a peer
+// mthserved -worker process; an in-process lane's is a handler in this
+// process, reached through an http.Client whose transport calls it
+// directly with no socket. That client is the only difference between the
+// two.
 //
 // Failure handling lives in three places with sharp boundaries:
 //
 //   - transport-level trouble (connection refused, truncated or corrupt
 //     response, worker 503) is classed errs.ErrTransient + ErrUnavailable,
-//     so the scheduler's backoff retries it a few times and then re-routes
-//     the job through the ring (runJobOn);
+//     so the scheduler's backoff retries it a few times and then puts the
+//     job back at the front of the queue for another lane (runJobOn);
 //   - job-level failures reported by a healthy worker (infeasible, panic,
 //     timeout) are rebuilt as typed errors from their wire class, and never
 //     count against the lane's health;
 //   - lane-level health is a circuit breaker fed by dispatch outcomes and
-//     a heartbeat prober, so a dead worker is ejected from routing within
-//     a bounded window and readmitted only after a probe succeeds.
+//     a heartbeat prober, so a dead worker stops taking jobs within a
+//     bounded window and takes them again only after a probe succeeds.
 package scheduler
 
 import (
@@ -38,7 +39,7 @@ import (
 	"mthplace/internal/obs"
 )
 
-// ErrQueueFull is returned by Lane.Enqueue when the lane's queue is at
+// ErrQueueFull is returned by Submit when the scheduler's queue is at
 // capacity; the transport maps it to 429.
 var ErrQueueFull = errors.New("job queue full")
 
@@ -66,7 +67,7 @@ const (
 
 // breaker is a per-lane circuit breaker. Dispatch failures accumulate; at
 // threshold the circuit opens and the lane reports itself dead, which both
-// short-circuits Execute and removes the lane from re-route candidacy.
+// short-circuits Execute and stops the lane taking jobs from the queue.
 // After cooldown the next allow() admits a single half-open trial; its
 // outcome closes or re-opens the circuit. The prober bypasses allow — it
 // is the healer: a probe success closes the circuit outright, so a
@@ -140,19 +141,30 @@ func (b *breaker) success() {
 }
 
 // failure records a transport-level failure. A failed half-open trial
-// re-opens immediately; in closed state the threshold applies.
+// re-opens immediately; in closed state the threshold applies. Every
+// failure of an open circuit restarts its cooldown, and is reported like
+// a state change: a lane whose cooldown had ended stops taking jobs again.
 func (b *breaker) failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.failures++
 	b.trial = false
 	if b.state == CircuitHalfOpen || b.failures >= b.threshold {
-		if b.state != CircuitOpen {
-			b.state = CircuitOpen
-			b.note()
-		}
+		b.state = CircuitOpen
 		b.openedAt = time.Now()
+		b.note()
 	}
+}
+
+// cooldownLeft returns how long an open circuit still refuses dispatches;
+// 0 once allow would admit one.
+func (b *breaker) cooldownLeft() time.Duration {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state != CircuitOpen {
+		return 0
+	}
+	return max(b.cooldown-time.Since(b.openedAt), 0)
 }
 
 // State returns the current circuit state string.
@@ -169,8 +181,6 @@ type LaneOptions struct {
 	Addr string
 	// Dispatchers is the lane's concurrent-dispatch complement (>= 1).
 	Dispatchers int
-	// Depth bounds the lane's queue.
-	Depth int
 	// ProbeInterval is the heartbeat cadence (0 disables the prober —
 	// tests that drive health by hand).
 	ProbeInterval time.Duration
@@ -187,6 +197,9 @@ type LaneOptions struct {
 	// circuit state, the last heartbeat round trip and the dispatch
 	// failure count. Required.
 	Registry *obs.Registry
+	// OnCircuit is called on every circuit change, under the breaker's lock,
+	// so it must not call back into the lane. Optional.
+	OnCircuit func()
 	// OnSpans receives each dispatched job's worker-side span records,
 	// already skew-corrected and lane-labelled. Called from dispatcher
 	// goroutines (WireResult piggyback) and the prober (stash drain), so the
@@ -194,18 +207,17 @@ type LaneOptions struct {
 	OnSpans func(job string, spans []obs.SpanRecord)
 }
 
-// Lane is one execution lane of the scheduler. The scheduler routes each
-// job to exactly one lane by consistent-hashing its instance key, so
-// resubmissions of the same instance land on the same lane (cache and
-// data-locality affinity); everything job-lifecycle (claiming, leases,
-// retries, journaling) stays in the scheduler.
+// Lane is one execution lane of the scheduler: its dispatchers take jobs
+// from the scheduler's queue while the lane is healthy. Everything
+// job-lifecycle (claiming, leases, retries, journaling) stays in the
+// scheduler.
 type Lane struct {
 	name   string
 	opt    LaneOptions
 	client *http.Client
-	queue  chan *Job
 	wg     sync.WaitGroup // dispatchers + prober
 	br     *breaker
+	busy   atomic.Int64 // jobs in flight: taken from the queue, attempt not yet over
 
 	ctx    context.Context // prober lifetime; canceled by Close
 	cancel context.CancelFunc
@@ -220,9 +232,6 @@ func NewLane(name string, opt LaneOptions) *Lane {
 	if opt.Dispatchers < 1 {
 		opt.Dispatchers = 1
 	}
-	if opt.Depth < 1 {
-		opt.Depth = 1
-	}
 	client := opt.Client
 	if client == nil {
 		client = &http.Client{}
@@ -234,8 +243,12 @@ func NewLane(name string, opt LaneOptions) *Lane {
 		name:   name,
 		opt:    opt,
 		client: client,
-		queue:  make(chan *Job, opt.Depth),
-		br:     newBreaker(opt.BreakerThreshold, opt.BreakerCooldown, func(st string) { circuit.Set(circuitValue(st)) }),
+		br: newBreaker(opt.BreakerThreshold, opt.BreakerCooldown, func(st string) {
+			circuit.Set(circuitValue(st))
+			if opt.OnCircuit != nil {
+				opt.OnCircuit()
+			}
+		}),
 		rtt:    reg.Gauge("backend_heartbeat_rtt_seconds", "Last successful heartbeat round trip per lane.", labels),
 		fails:  reg.Counter("dispatch_failures_total", "Transport-level dispatch failures per lane.", labels),
 		ctx:    ctx,
@@ -255,35 +268,18 @@ func circuitValue(state string) float64 {
 	}
 }
 
-func (r *Lane) Name() string  { return r.name }
-func (r *Lane) Addr() string  { return r.opt.Addr }
-func (r *Lane) Depth() int    { return len(r.queue) }
-func (r *Lane) Capacity() int { return cap(r.queue) }
-func (r *Lane) Workers() int  { return r.opt.Dispatchers }
+func (r *Lane) Name() string { return r.name }
+func (r *Lane) Addr() string { return r.opt.Addr }
+func (r *Lane) Workers() int { return r.opt.Dispatchers }
 
-// Enqueue hands a job to the lane, or returns ErrQueueFull. The scheduler
-// serializes all Enqueue calls under its own lock, so Depth/Enqueue may be
-// used as check-then-act.
-func (r *Lane) Enqueue(jb *Job) error {
-	select {
-	case r.queue <- jb:
-		return nil
-	default:
-		return ErrQueueFull
-	}
-}
-
-// Start launches the dispatchers and the prober; run is called once per
-// dequeued job and owns the job's whole lifecycle. Jobs enqueued before
-// Start are kept.
-func (r *Lane) Start(run func(*Job)) {
+// Start launches the dispatchers, each running dispatch until it returns,
+// and the prober.
+func (r *Lane) Start(dispatch func()) {
 	r.wg.Add(r.opt.Dispatchers)
 	for i := 0; i < r.opt.Dispatchers; i++ {
 		go func() {
 			defer r.wg.Done()
-			for jb := range r.queue {
-				run(jb)
-			}
+			dispatch()
 		}()
 	}
 	if r.opt.ProbeInterval > 0 {
@@ -292,13 +288,9 @@ func (r *Lane) Start(run func(*Job)) {
 	}
 }
 
-// Close stops the prober and intake; queued jobs drain through the
-// dispatchers first (the scheduler cancels them during shutdown, so the
-// drain is fast).
-func (r *Lane) Close() {
-	r.cancel()
-	close(r.queue)
-}
+// Close stops the prober. The dispatchers exit once the scheduler's queue
+// closes and their jobs in flight end.
+func (r *Lane) Close() { r.cancel() }
 
 // Wait blocks until the dispatchers and prober have exited, then releases
 // idle keep-alive connections so a shut-down coordinator holds no sockets
@@ -308,10 +300,11 @@ func (r *Lane) Wait() {
 	r.client.CloseIdleConnections()
 }
 
-// Healthy reports whether routing may consider this lane: any circuit
-// state but open. Half-open counts as healthy so the trial dispatch that
-// would close the circuit can actually happen.
-func (r *Lane) Healthy() bool { return r.br.State() != CircuitOpen }
+// Healthy reports whether the lane may take jobs: any circuit state but
+// open, or open past its cooldown. Half-open and cooled-down count as
+// healthy so the trial dispatch that would close the circuit can actually
+// happen.
+func (r *Lane) Healthy() bool { return r.br.cooldownLeft() == 0 }
 
 // CircuitState returns the lane's circuit state for /stats.
 func (r *Lane) CircuitState() string { return r.br.State() }

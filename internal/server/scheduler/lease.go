@@ -4,14 +4,15 @@
 // pings the worker and extends the lease — a busy-but-alive worker keeps
 // its job indefinitely — so only a dead, hung or partitioned worker lets
 // the lease lapse. The monitor sweeps running jobs, and an expired lease
-// re-routes the job through the live ring exactly like a dispatch failure
-// would, invalidating the old attempt's epoch first so a zombie completion
+// puts the job back at the front of the queue exactly like a dispatch
+// failure would, invalidating the old attempt's epoch first so a zombie completion
 // arriving later is dropped by beginFinish (the exactly-once guard).
 package scheduler
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"mthplace/internal/errs"
@@ -87,84 +88,52 @@ func (s *Scheduler) journalLeased(jb *Job, backend string, deadline time.Time) {
 	_ = s.jrnl.Append(journal.Entry{Seq: jb.seqn, Job: jb.ID, Event: journal.EventLeased, Backend: backend, Deadline: &d})
 }
 
-// reroute moves a running job whose attempt (epoch) failed or timed out
-// onto another live lane, falling back to a fresh attempt on its own lane
-// when that lane is healthy and no other qualifies. It returns false —
-// leaving the job with its current attempt — when intake is closed, the
-// re-route budget is spent, the attempt already began finishing, or no
-// live lane (its own included) has queue room.
+// reroute puts a running job whose attempt (epoch) failed or timed out back
+// at the front of the queue, marked with the lane it left: another healthy
+// lane takes it, or the same lane as a fresh attempt when no other lane is
+// healthy. A lapsed lease does not indict the lane — a renewal can simply
+// have missed its window (scheduler starvation, or a healed partition whose
+// old response path is dead) — so a live worker still gets to run the job
+// rather than see it fail. It returns false, leaving the job with its
+// current attempt, when intake is closed, the re-route budget is spent,
+// the attempt already began finishing, or no lane, the one the job left
+// included, is healthy. The re-enqueue is never refused for room: the job
+// was already admitted.
 // The old attempt's context is canceled only after the job is safely
-// enqueued elsewhere; by then the old epoch is stale, so whatever that
-// attempt still produces is discarded by beginFinish.
+// queued; by then the old epoch is stale, so whatever that attempt still
+// produces is discarded by beginFinish.
 func (s *Scheduler) reroute(jb *Job, epoch int64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.accepting {
-		return false // shutdown: lanes are closing, nothing to re-route onto
+		return false // shutdown: the queue is closed, nothing to re-route onto
 	}
-	from := s.laneIndex(jb.backendName())
-	hasRoom := func(i int) bool {
-		b := s.backends[i]
-		return b.Healthy() && b.Depth() < b.Capacity()
-	}
-	idx, ok := s.ring.pickLive(routingKey(jb.keys), from, hasRoom)
-	if !ok {
-		// Nowhere else to go — but a lapsed lease does not indict the lane:
-		// a renewal can simply have missed its window (scheduler starvation,
-		// or a healed partition whose old response path is dead). A healthy
-		// current lane with queue room takes the job back as a fresh
-		// attempt — the new epoch invalidates the old one and its possibly
-		// hung dispatch is canceled below — rather than failing a job a
-		// live worker could run.
-		if from < 0 || !hasRoom(from) {
-			return false
-		}
-		idx = from
+	if !slices.ContainsFunc(s.backends, (*Lane).Healthy) {
+		return false
 	}
 	cancel, ok := jb.requeue(epoch, s.opt.RerouteMax)
 	if !ok {
 		return false
 	}
-	fromName := jb.backendName()
-	be := s.backends[idx]
-	jb.setBackendName(be.Name())
-	s.journalRerouted(jb, be.Name())
+	from := jb.backendName()
+	s.journalRerouted(jb, from)
 	s.mReroutes.Inc()
-	s.traceInstant(jb, "reroute", map[string]any{"from": fromName, "to": be.Name(), "epoch": epoch})
-	// Cannot fail: room was checked above and every Enqueue is under s.mu.
-	if err := be.Enqueue(jb); err != nil {
-		// Defensive: never strand a Queued job that sits in no queue.
-		jb.finish(fmt.Errorf("re-route enqueue to %s: %w: %w", be.Name(), err, errs.ErrUnavailable))
-		s.journal(jb, terminalEvent(jb), err)
-		if jb.countFinish() {
-			s.mFinished.Inc()
-		}
-		s.traceRoot(jb)
-	}
+	s.traceInstant(jb, "reroute", map[string]any{"from": from, "epoch": epoch})
+	s.queue.push(jb, from)
 	if cancel != nil {
 		cancel()
 	}
-	s.log.Info("job re-routed", "job", jb.ID, "trace_id", jb.TraceID(), "to", be.Name())
+	s.log.Info("job re-routed", "job", jb.ID, "trace_id", jb.TraceID(), "from", from)
 	return true
 }
 
-// journalRerouted records the job's new owner lane.
-func (s *Scheduler) journalRerouted(jb *Job, backend string) {
+// journalRerouted records the lane the job left; the leased entry that
+// follows names its new owner.
+func (s *Scheduler) journalRerouted(jb *Job, left string) {
 	if s.jrnl == nil {
 		return
 	}
-	_ = s.jrnl.Append(journal.Entry{Seq: jb.seqn, Job: jb.ID, Event: journal.EventRerouted, Backend: backend})
-}
-
-// laneIndex resolves a backend name to its lane index (-1 when unknown).
-// Callers hold s.mu.
-func (s *Scheduler) laneIndex(name string) int {
-	for i, b := range s.backends {
-		if b.Name() == name {
-			return i
-		}
-	}
-	return -1
+	_ = s.jrnl.Append(journal.Entry{Seq: jb.seqn, Job: jb.ID, Event: journal.EventRerouted, Backend: left})
 }
 
 // startLeaseRenewal launches the per-attempt renewal loop: every third of

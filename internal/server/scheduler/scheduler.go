@@ -1,5 +1,5 @@
 // Package scheduler is the job-execution layer of the placement service:
-// it owns the work queues, the execution lanes and their workers, leases,
+// it owns the job queue, the execution lanes and their workers, leases,
 // retries, the crash-safe journal and the content-addressed solve cache.
 // The HTTP layer (internal/server/transport) talks to it only through
 // exported methods — no handler reaches into a job's guts.
@@ -10,11 +10,10 @@
 // over HTTP, so a multi-process deployment changes this package's wiring,
 // not its execution path.
 //
-// Routing: every job's canonical instance key (store.Instance) is
-// consistent-hashed onto one lane. With the default single in-process
-// lane this is invisible; with several, identical instances always land on
-// the same lane, which is what makes per-lane caches and data locality
-// work when lanes are separate processes.
+// Queueing: a submitted job waits in one bounded FIFO queue (queue.go)
+// until a dispatcher of a healthy lane takes it, whichever lane that is.
+// Nothing ties a job to a lane: the solve cache lives here, in the
+// coordinator, so no lane holds anything a repeat job could reuse.
 package scheduler
 
 import (
@@ -30,7 +29,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,15 +59,14 @@ type Options struct {
 	// Workers is the total number of jobs run concurrently, divided across
 	// the in-process lanes (default 2).
 	Workers int
-	// QueueDepth bounds the number of jobs waiting behind the workers
-	// across all backends (default 16); submissions beyond a backend's
-	// share get ErrQueueFull.
+	// QueueDepth bounds the one queue of jobs waiting for a free dispatcher
+	// (default 16); a submission that finds it full gets ErrQueueFull.
+	// Journal replay raises the bound by the number of jobs it re-queues.
 	QueueDepth int
-	// Backends is the number of in-process execution lanes jobs are
-	// consistent-hash routed across (default 1, or 0 when Remotes are
-	// configured — a pure coordinator runs nothing locally). Each has its
-	// own worker handler. Remote lanes are additional: the ring spans
-	// Backends + len(Remotes) lanes.
+	// Backends is the number of in-process execution lanes (default 1, or 0
+	// when Remotes are configured — a pure coordinator runs nothing
+	// locally). Each has its own worker handler. Remote lanes are
+	// additional, and every lane takes jobs from the same queue.
 	Backends int
 	// Remotes lists worker base URLs ("http://host:port"); each becomes a
 	// lane dispatching jobs to a peer mthserved -worker process.
@@ -165,7 +163,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Scheduler runs placement jobs from bounded per-lane queues.
+// Scheduler runs placement jobs from one bounded queue on its lanes.
 type Scheduler struct {
 	opt   Options
 	pool  *par.Pool // shared budget for jobs without a private bound
@@ -179,7 +177,7 @@ type Scheduler struct {
 
 	backends []*Lane
 	workers  []*WorkerHandler // the in-process lanes' workers, for SetExec
-	ring     *ring
+	queue    *jobQueue
 
 	// reg is this scheduler's private metric registry and the only store
 	// of its counters: /stats and /metrics both read these series. They
@@ -206,7 +204,7 @@ type Scheduler struct {
 	leaseStop chan struct{}
 	leaseWG   sync.WaitGroup
 
-	mu        sync.Mutex // guards jobs/order, intake, and every Enqueue
+	mu        sync.Mutex // guards jobs/order, intake, and every queue push
 	jobs      map[string]*Job
 	order     []string // submission order, for stable listings
 	accepting bool
@@ -274,19 +272,21 @@ func New(opt Options) (*Scheduler, error) {
 		}
 	}
 
+	// Replayed jobs must all fit ahead of live traffic, so the queue's bound
+	// is raised by their count.
+	replayed := s.replay(pending)
+	s.queue = newJobQueue(opt.QueueDepth + len(replayed))
+	for _, jb := range replayed {
+		s.queue.push(jb, "")
+	}
 	lanes := opt.Backends + len(opt.Remotes)
-	s.ring = newRing(lanes)
-	// Replayed jobs must all fit ahead of live traffic, so each lane's
-	// queue is sized past its configured share by however many of the
-	// journal's jobs route to it.
-	replayed, perLane := s.prepareReplay(pending, lanes)
 	for i := 0; i < lanes; i++ {
 		lo := LaneOptions{
-			Depth:            share(opt.QueueDepth, lanes, i) + perLane[i],
 			ProbeInterval:    opt.ProbeInterval,
 			BreakerThreshold: opt.BreakerThreshold,
 			BreakerCooldown:  opt.BreakerCooldown,
 			Registry:         s.reg,
+			OnCircuit:        s.queue.signal,
 			OnSpans:          s.ingestWorkerSpans,
 		}
 		var name string
@@ -303,33 +303,29 @@ func New(opt Options) (*Scheduler, error) {
 		}
 		s.backends = append(s.backends, NewLane(name, lo))
 	}
+	// Remote lanes first: see jobQueue.
+	s.queue.lanes = slices.Concat(s.backends[opt.Backends:], s.backends[:opt.Backends])
 	// Pre-register each lane's RED series so a scrape shows the families
 	// (with zero values) before the first job lands.
 	for _, b := range s.backends {
 		s.laneRequests(b.Name(), "ok")
 		s.laneSeconds(b.Name())
 	}
-	for _, rj := range replayed {
-		s.jobs[rj.job.ID] = rj.job
-		s.order = append(s.order, rj.job.ID)
-		if rj.backend >= 0 {
-			// The lane name is assigned from the live topology, never from
-			// the journal: the ring may have changed shape between crash
-			// and restart, and a recorded lane may no longer exist.
-			rj.job.backend = s.backends[rj.backend].Name()
-			// Cannot fail: the queue was sized for exactly these jobs.
-			_ = s.backends[rj.backend].Enqueue(rj.job)
-		}
-	}
 	for _, b := range s.backends {
-		b.Start(func(jb *Job) { s.runJobOn(b, jb) })
+		b.Start(func() {
+			for jb := s.queue.pull(b); jb != nil; jb = s.queue.pull(b) {
+				s.runJobOn(b, jb)
+				b.busy.Add(-1)
+			}
+		})
 	}
 	s.startLeaseLoop()
 	return s, nil
 }
 
 // share splits total across n lanes as evenly as possible, never below 1:
-// lane i gets the i-th element of the fairest integer partition.
+// lane i gets the i-th element of the fairest integer partition. It splits
+// Workers across the in-process lanes.
 func share(total, n, i int) int {
 	v := total / n
 	if i < total%n {
@@ -341,24 +337,14 @@ func share(total, n, i int) int {
 	return v
 }
 
-// replayJob pairs a reconstructed job with its routed backend (-1 when the
-// job failed validation and is already terminal).
-type replayJob struct {
-	job     *Job
-	backend int
-}
-
-// prepareReplay rebuilds journaled jobs and routes them through the live
-// ring of lanes lanes in total, returning the jobs plus the per-lane count
-// (to size the queues). Routing deliberately ignores whatever lane the journal
-// recorded: the topology may have changed between crash and restart (lanes
-// added, removed, or renamed), and the consistent hash over the current
-// ring is the only authority. A request that no longer validates —
-// possible only if the journal was edited or the format drifted — is
-// journaled as failed rather than wedging recovery.
-func (s *Scheduler) prepareReplay(pending []journal.PendingJob, lanes int) ([]replayJob, []int) {
-	perBackend := make([]int, lanes)
-	out := make([]replayJob, 0, len(pending))
+// replay rebuilds journaled jobs and registers them, returning the ones
+// to queue. Whatever lane the journal recorded is ignored: the topology may
+// have changed between crash and restart, and any live lane may take the
+// job. A request that no longer validates — possible only if the journal
+// was edited or the format drifted — is journaled as failed rather than
+// wedging recovery.
+func (s *Scheduler) replay(pending []journal.PendingJob) []*Job {
+	var queue []*Job
 	for _, p := range pending {
 		jb := &Job{ID: p.ID, seqn: p.Seq, state: StateQueued, submitted: time.Now(), replayed: true}
 		var err error
@@ -371,7 +357,8 @@ func (s *Scheduler) prepareReplay(pending []journal.PendingJob, lanes int) ([]re
 		// replayed job re-adopts the original trace: its post-crash timeline
 		// lands in the same distributed trace the client started.
 		jb.initTrace()
-		rj := replayJob{job: jb, backend: -1}
+		s.jobs[jb.ID] = jb
+		s.order = append(s.order, jb.ID)
 		if err != nil {
 			jb.state = StateFailed
 			jb.err = err
@@ -381,13 +368,11 @@ func (s *Scheduler) prepareReplay(pending []journal.PendingJob, lanes int) ([]re
 			s.log.Warn("journal: replayed job failed validation", "job", jb.ID, "err", err)
 		} else {
 			jb.keys = s.instanceKeys(&jb.req)
-			rj.backend = s.ring.pick(routingKey(jb.keys))
-			perBackend[rj.backend]++
+			queue = append(queue, jb)
 			s.log.Info("journal: re-queued job", "job", jb.ID, "testcase", jb.spec.Name())
 		}
-		out = append(out, rj)
 	}
-	return out, perBackend
+	return queue
 }
 
 // instanceKeys returns the canonical cache key of each flow the request
@@ -404,18 +389,8 @@ func (s *Scheduler) instanceKeys(req *JobRequest) []store.Key {
 	return keys
 }
 
-// routingKey folds a job's per-flow keys into the single string the ring
-// hashes, so identical instance sets always route to the same backend.
-func routingKey(keys []store.Key) string {
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = string(k)
-	}
-	return strings.Join(parts, "|")
-}
-
 // Shutdown gracefully stops the scheduler: intake closes immediately (new
-// submissions get ErrNotAccepting), jobs still waiting in queues are
+// submissions get ErrNotAccepting), jobs still waiting in the queue are
 // canceled, and in-flight jobs are drained to completion. If ctx expires
 // first, the in-flight jobs' contexts are canceled and Shutdown waits for
 // them to unwind (bounded by one solver/Lloyd iteration), returning ctx's
@@ -431,10 +406,10 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 	}
 	s.accepting = false
 	for _, b := range s.backends {
-		b.Close() // safe: submissions check accepting under mu
+		b.Close()
 	}
-	// Queued jobs will still be popped by workers, but cancel them now so
-	// the workers skip straight past them.
+	// Cancel the queued jobs, then drop them with the queue: no push can
+	// follow, because submissions and re-routes check accepting under mu.
 	for _, id := range s.order {
 		j := s.jobs[id]
 		j.mu.Lock()
@@ -456,6 +431,7 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 			s.traceRoot(j)
 		}
 	}
+	s.queue.close()
 	s.mu.Unlock()
 	// The monitor must not re-route into lanes that just closed; its
 	// accepting check makes that impossible, and stopping it here (before
@@ -496,7 +472,8 @@ func (s *Scheduler) SetExec(fn ExecFunc) {
 // Runner, which is what makes HTTP results byte-identical to library
 // results. Transient failures are retried with exponential backoff on the
 // same lane; an attempt that is still failing with ErrUnavailable after its
-// retries is re-routed through the live ring instead of failing the job.
+// retries goes back to the queue for another lane instead of failing the
+// job.
 // Every terminal effect is gated by beginFinish on the attempt's epoch, so
 // an attempt the lease monitor re-routed away commits nothing — the
 // exactly-once half of the lease protocol.
@@ -506,7 +483,7 @@ func (s *Scheduler) runJobOn(b *Lane, jb *Job) {
 		ctx, cancel = context.WithTimeout(s.baseCtx, time.Duration(jb.req.TimeoutMS)*time.Millisecond)
 	}
 	defer cancel()
-	epoch, ok := jb.claim(cancel)
+	epoch, ok := jb.claim(cancel, b.Name())
 	if !ok {
 		return // canceled while queued
 	}
@@ -757,7 +734,7 @@ func (s *Scheduler) submitLocked(req JobRequest) (*Job, error) {
 	if s.cache != nil && req.cacheRead() {
 		if entries, ok := s.cache.GetAll(jb.keys); ok {
 			s.mCacheHits.Inc()
-			if err := s.journalSubmit(jb, req, ""); err != nil {
+			if err := s.journalSubmit(jb, req); err != nil {
 				return nil, err
 			}
 			outcome := &store.Outcome{
@@ -783,22 +760,17 @@ func (s *Scheduler) submitLocked(req JobRequest) (*Job, error) {
 		s.mCacheMisses.Inc()
 	}
 
-	idx := s.ring.pick(routingKey(jb.keys))
-	be := s.backends[idx]
 	// Reject over-capacity before journaling: a 429'd job must leave no
 	// acceptance record, or a later restart would replay work the client
-	// was told we refused. Every Enqueue happens under s.mu, so the room
-	// observed here cannot vanish before the send below.
-	if be.Depth() >= be.Capacity() {
+	// was told we refused. Every push happens under s.mu, so the room
+	// observed here cannot vanish before the push below.
+	if depth, limit := s.queue.size(); depth >= limit {
 		return nil, ErrQueueFull
 	}
-	jb.backend = be.Name()
-	if err := s.journalSubmit(jb, req, be.Name()); err != nil {
+	if err := s.journalSubmit(jb, req); err != nil {
 		return nil, err
 	}
-	if err := be.Enqueue(jb); err != nil {
-		return nil, err
-	}
+	s.queue.push(jb, "")
 	s.jobs[jb.ID] = jb
 	s.order = append(s.order, jb.ID)
 	return jb, nil
@@ -807,13 +779,14 @@ func (s *Scheduler) submitLocked(req JobRequest) (*Job, error) {
 // journalSubmit makes the acceptance record durable before the job becomes
 // visible: this is the one journal write whose failure rejects the request,
 // because a job we cannot promise to replay is a job we must not accept.
-func (s *Scheduler) journalSubmit(jb *Job, req JobRequest, backend string) error {
+// It names no lane: none is known until a dispatcher takes the job.
+func (s *Scheduler) journalSubmit(jb *Job, req JobRequest) error {
 	if s.jrnl == nil {
 		return nil
 	}
 	raw, err := json.Marshal(req)
 	if err == nil {
-		err = s.jrnl.Append(journal.Entry{Seq: jb.seqn, Job: jb.ID, Event: journal.EventSubmitted, Request: raw, Backend: backend, Trace: jb.TraceID()})
+		err = s.jrnl.Append(journal.Entry{Seq: jb.seqn, Job: jb.ID, Event: journal.EventSubmitted, Request: raw, Trace: jb.TraceID()})
 	}
 	if err != nil {
 		return fmt.Errorf("%w: %s", ErrJournal, err)
@@ -878,8 +851,10 @@ func (s *Scheduler) Accepting() bool {
 	return s.accepting
 }
 
-// BackendStat describes one execution lane for /stats. Addr is empty for
-// in-process lanes; RTT and DispatchFailures are omitted while zero.
+// BackendStat describes one execution lane for /stats. Depth is the number
+// of jobs in flight on the lane and Capacity its dispatcher count. Addr is
+// empty for in-process lanes; RTT and DispatchFailures are omitted while
+// zero.
 type BackendStat struct {
 	Name     string `json:"name"`
 	Depth    int    `json:"depth"`
@@ -909,7 +884,8 @@ type CacheStat struct {
 // as is and clients (pkg/mth, mthtop) decode into it.
 type StatsSnapshot struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	// QueueDepth, QueueCapacity and Workers are sums over the lanes.
+	// QueueDepth and QueueCapacity describe the one queue; Workers is the
+	// sum of the lanes' dispatchers.
 	QueueDepth    int           `json:"queue_depth"`
 	QueueCapacity int           `json:"queue_capacity"`
 	Workers       int           `json:"workers"`
@@ -943,8 +919,7 @@ func (s *Scheduler) lifecycle() (started, finished, inflight int64) {
 }
 
 // Stats gathers the full observability snapshot. Every counter is read
-// from the scheduler's registry, the series /metrics renders, and every
-// capacity is summed over the lanes, the same source as the depths.
+// from the scheduler's registry, the series /metrics renders.
 func (s *Scheduler) Stats() StatsSnapshot {
 	started, finished, inflight := s.lifecycle()
 	snap := StatsSnapshot{
@@ -969,15 +944,14 @@ func (s *Scheduler) Stats() StatsSnapshot {
 	if s.cache != nil {
 		snap.Cache.Hits, snap.Cache.Misses = s.mCacheHits.Value(), s.mCacheMisses.Value()
 	}
+	snap.QueueDepth, snap.QueueCapacity = s.queue.size()
 	s.mu.Lock()
 	for _, b := range s.backends {
 		bs := BackendStat{
-			Name: b.Name(), Depth: b.Depth(), Capacity: b.Capacity(), Workers: b.Workers(),
+			Name: b.Name(), Depth: int(b.busy.Load()), Capacity: b.Workers(), Workers: b.Workers(),
 			Addr: b.Addr(), Circuit: b.CircuitState(),
 			HeartbeatRTTms: b.rtt.Value() * 1e3, DispatchFailures: b.fails.Value(),
 		}
-		snap.QueueDepth += bs.Depth
-		snap.QueueCapacity += bs.Capacity
 		snap.Workers += bs.Workers
 		snap.Backends = append(snap.Backends, bs)
 	}

@@ -229,10 +229,10 @@ func TestSubmitBatch(t *testing.T) {
 	}
 }
 
-// TestMultiBackendRouting: with several lanes, jobs spread by instance key,
-// identical instances always route to the same lane, and every lane's
-// queue shows up in the stats snapshot.
-func TestMultiBackendRouting(t *testing.T) {
+// TestMultiLaneJobsComplete: with several lanes, every lane shows up in the
+// stats snapshot with its dispatchers, the one queue carries the configured
+// depth, and jobs across the lanes all complete.
+func TestMultiLaneJobsComplete(t *testing.T) {
 	s := newSched(t, Options{Workers: 4, QueueDepth: 32, Backends: 4, DefaultSolver: core.BackendGreedy})
 	snap := s.Stats()
 	if len(snap.Backends) != 4 {
@@ -243,31 +243,11 @@ func TestMultiBackendRouting(t *testing.T) {
 		totalWorkers += b.Workers
 		totalCap += b.Capacity
 	}
-	if totalWorkers != 4 || totalCap != 32 {
-		t.Errorf("lane totals workers=%d cap=%d, want 4/32", totalWorkers, totalCap)
+	if totalWorkers != 4 || totalCap != 4 || snap.QueueCapacity != 32 {
+		t.Errorf("lane totals workers=%d cap=%d, queue_capacity=%d, want 4/4/32", totalWorkers, totalCap, snap.QueueCapacity)
 	}
 
-	// Routing is a pure function of the instance keys.
-	keysA := s.instanceKeys(&JobRequest{Testcase: "aes_300", Flows: []int{5}})
-	keysB := s.instanceKeys(&JobRequest{Testcase: "aes_300", Flows: []int{5}})
-	if routingKey(keysA) != routingKey(keysB) {
-		t.Fatal("identical requests produced different routing keys")
-	}
-	if s.ring.pick(routingKey(keysA)) != s.ring.pick(routingKey(keysB)) {
-		t.Fatal("identical routing keys landed on different lanes")
-	}
-
-	// Distinct seeds must not all collapse onto one lane (vnode spread).
-	lanes := map[int]bool{}
-	for seed := int64(1); seed <= 32; seed++ {
-		keys := s.instanceKeys(&JobRequest{Testcase: "aes_300", Seed: seed, Flows: []int{5}})
-		lanes[s.ring.pick(routingKey(keys))] = true
-	}
-	if len(lanes) < 2 {
-		t.Errorf("32 distinct instances all routed to one lane")
-	}
-
-	// And real jobs across lanes all complete.
+	// Real jobs across lanes all complete.
 	for seed := int64(1); seed <= 4; seed++ {
 		jb := submitWait(t, s, JobRequest{Testcase: "aes_300", Scale: 0.02, Seed: seed, Flows: []int{5}})
 		if jb.View().Backend == "" {

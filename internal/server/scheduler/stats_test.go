@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -113,11 +114,11 @@ func TestLatencyRingConcurrentLoad(t *testing.T) {
 	}
 }
 
-// TestStatsCapacitySumsLanes: queue_capacity and workers are sums over the
-// lanes, like queue_depth. share() gives every lane at least one queue slot
-// and one worker, so with more lanes than the configured totals the
-// configured numbers under-report, and a full fabric showed a depth above
-// its capacity and more busy workers than workers.
+// TestStatsCapacitySumsLanes: queue_depth and queue_capacity describe the
+// one queue, so a full fabric shows its queue within its bound; each lane's
+// depth counts the jobs in flight on it, within its dispatcher count; and
+// busy_workers stays within workers. share() gives every lane at least one
+// worker, so two lanes with Workers 1 report two workers.
 func TestStatsCapacitySumsLanes(t *testing.T) {
 	s := newSched(t, Options{Workers: 1, QueueDepth: 1, Backends: 2})
 	release := make(chan struct{})
@@ -129,42 +130,93 @@ func TestStatsCapacitySumsLanes(t *testing.T) {
 		}
 		return nil, errs.FromContext(ctx)
 	})
-	// Fill both lanes: one running and one queued job each.
-	perLane := make([]int, 2)
-	for seed := int64(1); perLane[0] < 2 || perLane[1] < 2; seed++ {
-		if seed > 200 {
-			t.Fatalf("seeds 1..200 did not fill both lanes: %v", perLane)
-		}
-		req := JobRequest{Testcase: "aes_300", Scale: 0.02, Seed: seed, Solver: "greedy"}
-		lane := s.ring.pick(routingKey(s.instanceKeys(&req)))
-		if perLane[lane] == 2 {
-			continue
-		}
-		jb, err := s.Submit(req)
+	// Fill the fabric: one running job per lane, then one queued job.
+	for seed := int64(1); seed <= 3; seed++ {
+		jb, err := s.Submit(JobRequest{Testcase: "aes_300", Scale: 0.02, Seed: seed, Solver: "greedy"})
 		if err != nil {
-			t.Fatalf("lane %d seed %d: %v", lane, seed, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if perLane[lane] == 0 {
-			for st, _ := jb.Snapshot(); st != StateRunning; st, _ = jb.Snapshot() {
-				time.Sleep(time.Millisecond)
-			}
+		if seed < 3 {
+			waitRunning(t, jb)
 		}
-		perLane[lane]++
+	}
+	if _, err := s.Submit(JobRequest{Testcase: "aes_300", Scale: 0.02, Seed: 4, Solver: "greedy"}); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submit into a full queue: %v, want ErrQueueFull", err)
 	}
 	snap := s.Stats()
-	var capacity, workers int
+	var workers int
 	for _, b := range snap.Backends {
-		capacity += b.Capacity
 		workers += b.Workers
+		if b.Depth != 1 || b.Depth > b.Capacity {
+			t.Errorf("lane %s depth %d of capacity %d, want 1 within capacity", b.Name, b.Depth, b.Capacity)
+		}
 	}
-	if snap.QueueCapacity != capacity || snap.Workers != workers {
-		t.Errorf("queue_capacity/workers = %d/%d, lanes sum to %d/%d",
-			snap.QueueCapacity, snap.Workers, capacity, workers)
+	if snap.Workers != workers || snap.Workers != 2 {
+		t.Errorf("workers = %d, lanes sum to %d, want 2", snap.Workers, workers)
 	}
-	if snap.QueueDepth != 2 || snap.QueueDepth > snap.QueueCapacity {
-		t.Errorf("queue_depth %d of queue_capacity %d, want 2 within capacity", snap.QueueDepth, snap.QueueCapacity)
+	if snap.QueueDepth != 1 || snap.QueueCapacity != 1 {
+		t.Errorf("queue_depth %d of queue_capacity %d, want 1 of 1", snap.QueueDepth, snap.QueueCapacity)
 	}
 	if snap.BusyWorkers != 2 || snap.BusyWorkers > snap.Workers {
 		t.Errorf("busy_workers %d of workers %d, want 2 within workers", snap.BusyWorkers, snap.Workers)
+	}
+}
+
+// waitRunning polls a job until a lane has claimed it.
+func waitRunning(t *testing.T, jb *Job) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for st, _ := jb.Snapshot(); st != StateRunning; st, _ = jb.Snapshot() {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s stuck in %q, want running", jb.ID, st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestIdleLaneTakesQueuedJob: a job waits for whichever lane is free, not
+// for the lane a hash picked. With two in-process lanes of one worker each
+// and a queue of two, three identical submissions are all accepted: two run
+// at once, one on each lane, and the third waits in the queue.
+func TestIdleLaneTakesQueuedJob(t *testing.T) {
+	s := newSched(t, Options{Workers: 2, QueueDepth: 2, Backends: 2})
+	release := make(chan struct{})
+	defer close(release)
+	s.SetExec(func(ctx context.Context, req JobRequest) (*ExecResult, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+		return nil, errs.FromContext(ctx)
+	})
+	req := JobRequest{Testcase: "aes_300", Scale: 0.02, Solver: "greedy"}
+	var jobs []*Job
+	for i := 1; i <= 3; i++ {
+		jb, err := s.Submit(req)
+		if err != nil {
+			t.Fatalf("submission %d refused: %v", i, err)
+		}
+		jobs = append(jobs, jb)
+		if i == 1 {
+			waitRunning(t, jb)
+		}
+	}
+	waitRunning(t, jobs[1])
+	lanes := map[string]bool{jobs[0].View().Backend: true, jobs[1].View().Backend: true}
+	if !lanes["local-0"] || !lanes["local-1"] {
+		t.Errorf("jobs 1 and 2 run on %v, want local-0 and local-1", lanes)
+	}
+	if st, _ := jobs[0].Snapshot(); st != StateRunning {
+		t.Errorf("job 1 is %q while job 2 runs, want both running", st)
+	}
+	if st, _ := jobs[2].Snapshot(); st != StateQueued {
+		t.Errorf("job 3 is %q, want queued", st)
+	}
+	snap := s.Stats()
+	if snap.BusyWorkers != 2 || snap.Workers != 2 {
+		t.Errorf("busy_workers %d/%d, want 2/2", snap.BusyWorkers, snap.Workers)
+	}
+	if snap.QueueDepth != 1 || snap.QueueCapacity != 2 {
+		t.Errorf("queue_depth %d/%d, want 1/2", snap.QueueDepth, snap.QueueCapacity)
 	}
 }
