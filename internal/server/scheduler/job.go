@@ -548,8 +548,8 @@ func (j *Job) beginFinish(epoch int64) bool {
 }
 
 // requeue moves a Running job back to Queued for re-dispatch, invalidating
-// attempt epoch. It fails when the epoch is stale, the
-// job already entered finishing, or the re-route budget (max) is spent.
+// attempt epoch. It fails when the epoch is stale, the job already entered
+// finishing, or the re-route budget (max) is spent.
 // The returned cancel handle (possibly nil) belongs to the abandoned
 // attempt; the caller cancels it *after* enqueueing so the old worker
 // unwinds without ever having owned a committable epoch.

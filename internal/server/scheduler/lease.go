@@ -5,8 +5,9 @@
 // its job indefinitely — so only a dead, hung or partitioned worker lets
 // the lease lapse. The monitor sweeps running jobs, and an expired lease
 // puts the job back at the front of the queue exactly like a dispatch
-// failure would, invalidating the old attempt's epoch first so a zombie completion
-// arriving later is dropped by beginFinish (the exactly-once guard).
+// failure would, invalidating the old attempt's epoch first so a zombie
+// completion arriving later is dropped by beginFinish (the exactly-once
+// guard).
 package scheduler
 
 import (

@@ -425,9 +425,9 @@ func TestWorkerPartitionLeaseExpiresAndReroutes(t *testing.T) {
 	if w0.partitioned() == w1.partitioned() {
 		t.Fatal("want exactly one stub partitioned by the first execute")
 	}
-	victim, survivor := w0, "remote-1"
+	victim, victimLane, survivor := w0, "remote-0", "remote-1"
 	if w1.partitioned() {
-		victim, survivor = w1, "remote-0"
+		victim, victimLane, survivor = w1, "remote-1", "remote-0"
 	}
 	v := jb.View()
 	if v.Backend != survivor {
@@ -462,7 +462,7 @@ func TestWorkerPartitionLeaseExpiresAndReroutes(t *testing.T) {
 	}
 	// rerouted names the lane the job left; the leased event after it names
 	// the new owner.
-	var leased, expired, rerouted int
+	var leased, expired, rerouted, newOwner int
 	afterReroute := false
 	for _, e := range entries {
 		switch e.Event {
@@ -471,8 +471,11 @@ func TestWorkerPartitionLeaseExpiresAndReroutes(t *testing.T) {
 			if e.Deadline == nil {
 				t.Error("leased event lacks a deadline")
 			}
-			if afterReroute && e.Backend != survivor {
-				t.Errorf("leased event after the reroute names %q, want %s", e.Backend, survivor)
+			if afterReroute {
+				newOwner++
+				if e.Backend != survivor {
+					t.Errorf("leased event after the reroute names %q, want %s", e.Backend, survivor)
+				}
 			}
 			afterReroute = false
 		case journal.EventLeaseExpired:
@@ -480,7 +483,13 @@ func TestWorkerPartitionLeaseExpiresAndReroutes(t *testing.T) {
 		case journal.EventRerouted:
 			rerouted++
 			afterReroute = true
+			if e.Backend != victimLane {
+				t.Errorf("rerouted event names %q, want the lane it left, %s", e.Backend, victimLane)
+			}
 		}
+	}
+	if newOwner < 1 {
+		t.Error("journal: no leased event follows the reroute")
 	}
 	if leased < 2 || expired < 1 || rerouted < 1 {
 		t.Errorf("journal: leased=%d expired=%d rerouted=%d, want >=2/>=1/>=1", leased, expired, rerouted)
@@ -604,6 +613,36 @@ func TestBreakerEjectsDeadWorkerWithinWindow(t *testing.T) {
 	waitCircuit(t, s, 0, CircuitClosed)
 	if s.Stats().Backends[0].HeartbeatRTTms <= 0 {
 		t.Error("readmitted lane reports no heartbeat RTT")
+	}
+}
+
+// TestDeadLaneTakesNoJobs: a job submitted while the only lane's circuit
+// is open waits in the queue — the dead lane neither receives it nor burns
+// its re-route budget — and runs once a probe readmits the lane.
+func TestDeadLaneTakesNoJobs(t *testing.T) {
+	w := newStubWorker(t)
+	s := newSched(t, remoteOptions(w.URL()))
+	w.setMode(modeDead)
+	waitCircuit(t, s, 0, CircuitOpen)
+
+	jb, err := s.Submit(JobRequest{Testcase: "aes_300", Scale: 0.02, Seed: 7, Solver: "greedy"})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	time.Sleep(50 * time.Millisecond) // a dozen probe intervals and two cooldowns
+	if st, _ := jb.Snapshot(); st != StateQueued {
+		t.Fatalf("job is %q while every lane is dead, want queued", st)
+	}
+	if got := w.execs.Load(); got != 0 {
+		t.Errorf("dead worker received %d dispatches, want 0", got)
+	}
+
+	w.setMode(modeOK)
+	if st, jerr := waitTerminal(t, jb, 10*time.Second); st != StateDone {
+		t.Fatalf("job finished %q (%v), want done after the lane recovered", st, jerr)
+	}
+	if v := jb.View(); v.Reroutes != 0 || v.Backend != "remote-0" {
+		t.Errorf("view backend=%q reroutes=%d, want remote-0 / 0", v.Backend, v.Reroutes)
 	}
 }
 
